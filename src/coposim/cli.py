@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -49,6 +50,27 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _ranged(convert, minimum, *, strict: bool = False):
+    """Argument type: ``convert(text)``, finite and at least ``minimum``
+    (above it when ``strict``); anything else is a usage error."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not math.isfinite(value) or value < minimum or (strict and value == minimum):
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number {'>' if strict else '>='} {minimum}, got {text}"
+            )
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_COUNT = _ranged(int, 1)
+_NONNEGATIVE = _ranged(float, 0.0)
+_POSITIVE = _ranged(float, 0.0, strict=True)
 
 
 def _fmt(value: float) -> str:
@@ -382,11 +404,11 @@ def build_parser() -> _Parser:
 
     p_detect = sub.add_parser("detect", help="decide copositivity")
     _add_source_arguments(p_detect)
-    p_detect.add_argument("--max-iter", type=int, default=100, dest="max_iter")
-    p_detect.add_argument("--tol", type=float, default=1e-12)
-    p_detect.add_argument("--sigma", type=float, default=0.0,
+    p_detect.add_argument("--max-iter", type=_COUNT, default=100, dest="max_iter")
+    p_detect.add_argument("--tol", type=_NONNEGATIVE, default=1e-12)
+    p_detect.add_argument("--sigma", type=_NONNEGATIVE, default=0.0,
                           help="certify up to this additive slack (runs on the shifted tensor)")
-    p_detect.add_argument("--min-diameter", type=float, default=0.0, dest="min_diameter")
+    p_detect.add_argument("--min-diameter", type=_NONNEGATIVE, default=0.0, dest="min_diameter")
     p_detect.add_argument("--no-prescreen", action="store_true", dest="no_prescreen")
     p_detect.add_argument("--certificate", action="store_true",
                           help="retain the certified cells in the output record")
@@ -394,22 +416,22 @@ def build_parser() -> _Parser:
 
     p_table = sub.add_parser("table", help="regenerate a benchmark table")
     p_table.add_argument("table", type=int, choices=(1, 2, 3))
-    p_table.add_argument("--max-iter", type=int, default=100, dest="max_iter")
-    p_table.add_argument("--tol", type=float, default=1e-12)
+    p_table.add_argument("--max-iter", type=_COUNT, default=100, dest="max_iter")
+    p_table.add_argument("--tol", type=_NONNEGATIVE, default=1e-12)
     p_table.add_argument("--seed", type=int, default=0, help="base seed for the trials")
     p_table.add_argument("--out", help="also write the rows as JSON to this file")
     p_table.set_defaults(func=cmd_table)
 
     p_spectral = sub.add_parser("spectral", help="spectral radius of a nonnegative tensor")
     _add_source_arguments(p_spectral, with_eta=False)
-    p_spectral.add_argument("--tol", type=float, default=1e-8)
-    p_spectral.add_argument("--max-iter", type=int, default=10_000, dest="max_iter")
+    p_spectral.add_argument("--tol", type=_POSITIVE, default=1e-8)
+    p_spectral.add_argument("--max-iter", type=_COUNT, default=10_000, dest="max_iter")
     p_spectral.set_defaults(func=cmd_spectral)
 
     p_prescreen = sub.add_parser("prescreen", help="run the refuter battery")
     _add_source_arguments(p_prescreen)
-    p_prescreen.add_argument("--depth", type=int, default=2, help="sampling grid depth")
-    p_prescreen.add_argument("--tol", type=float, default=1e-12)
+    p_prescreen.add_argument("--depth", type=_COUNT, default=2, help="sampling grid depth")
+    p_prescreen.add_argument("--tol", type=_NONNEGATIVE, default=1e-12)
     p_prescreen.set_defaults(func=cmd_prescreen)
 
     p_gen = sub.add_parser("gen", help="write a generated tensor as JSON")

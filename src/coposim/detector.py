@@ -8,6 +8,13 @@ cells are bisected at their longest edge, depth first.  An empty frontier
 certifies copositivity on the whole simplex; running out of budget returns
 an explicit undecided verdict.
 
+The search carries each cell's coefficients (its Bernstein coefficients)
+and vertex values with it.  A child's coefficients come from its parent's
+by midpoint subdivision, and it inherits all vertex values but the
+midpoint's, so a bisection costs one form evaluation and no dense
+congruence.  :func:`certify_cell` classifies a single cell from scratch by
+the same rule.
+
 All sign decisions go through a single tolerance ``tau``: "negative" means
 below ``-tau``, "nonnegative" means at least ``-tau``.  With the cellwise
 slack ``sigma`` at zero a copositive verdict is exact up to ``tau``; with
@@ -21,12 +28,13 @@ import enum
 import math
 import time
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from .instances import ones_tensor
 from .simplex import PartitionFrontier, Simplex, standard_simplex
-from .tensor import SymmetricTensor
+from .tensor import SymmetricTensor, split_coefficients
 
 __all__ = [
     "CellKind",
@@ -135,6 +143,29 @@ class Verdict:
         }
 
 
+def _classify(
+    values: tuple[float, ...], lowest_coefficient: Callable[[], float], sigma: float, tau: float
+) -> CellStatus:
+    """The cell test shared by :func:`certify_cell` and :func:`detect`.
+
+    Vertex values are scanned in list order: one below ``-tau`` settles the
+    cell as a negative vertex.  Otherwise ``lowest_coefficient()``, the
+    smallest coefficient of the cell (implicit zeros included), certifies
+    the cell when it is at least ``-sigma - tau``.
+    """
+    for i, value in enumerate(values):
+        if value < -tau:
+            return CellStatus(
+                CellKind.NEGATIVE_VERTEX,
+                vertex_index=i,
+                vertex_value=value,
+                vertex_values=values,
+            )
+    if lowest_coefficient() >= -sigma - tau:
+        return CellStatus(CellKind.CERTIFIED, vertex_values=values)
+    return CellStatus(CellKind.INDETERMINATE, vertex_values=values)
+
+
 def certify_cell(
     A: SymmetricTensor, S: Simplex, sigma: float = 0.0, tau: float = 1e-12
 ) -> CellStatus:
@@ -144,23 +175,15 @@ def certify_cell(
     settles the cell as a negative vertex.  Otherwise the cell is certified
     when every coefficient of the congruence transform by the vertex matrix
     is at least ``-sigma - tau`` (which bounds the form below by ``-sigma``
-    on the whole cell), and indeterminate when neither test fires.
+    on the whole cell), and indeterminate when neither test fires.  The
+    coefficients are computed afresh by :meth:`SymmetricTensor.congruence`.
     """
     if S.dim != A.dim:
         raise ValueError(f"cell dimension {S.dim} does not match tensor dim {A.dim}")
     values = tuple(A.form(u) for u in S.vertices)
-    for i, value in enumerate(values):
-        if value < -tau:
-            return CellStatus(
-                CellKind.NEGATIVE_VERTEX,
-                vertex_index=i,
-                vertex_value=value,
-                vertex_values=values,
-            )
-    coefficients = A.congruence(S.vertex_matrix)
-    if coefficients.min_coefficient() >= -sigma - tau:
-        return CellStatus(CellKind.CERTIFIED, vertex_values=values)
-    return CellStatus(CellKind.INDETERMINATE, vertex_values=values)
+    return _classify(
+        values, lambda: A.congruence(S.vertex_matrix).min_coefficient(), sigma, tau
+    )
 
 
 def detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdict:
@@ -176,8 +199,12 @@ def detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdict:
         raise ValueError("detection needs dimension >= 2")
 
     start = time.perf_counter()
+    m, n = A.order, A.dim
+    root = standard_simplex(n)
+    # Each frontier entry is (simplex, Bernstein coefficients, vertex values).
+    # The root's coefficients are A's entries: the congruence by I is exact.
     frontier = PartitionFrontier()
-    frontier.push(standard_simplex(A.dim), 0)
+    frontier.push((root, A.coefficient_vector(), tuple(A.form(u) for u in root.vertices)), 0)
     iterations = 0
     max_depth = 0
     min_vertex = math.inf
@@ -198,12 +225,12 @@ def detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdict:
     while frontier:
         if iterations >= cfg.max_iterations:
             return verdict(VerdictKind.UNDECIDED)
-        cell, depth = frontier.pop()
+        (cell, coefficients, values), depth = frontier.pop()
         iterations += 1
         if cfg.min_diameter > 0.0 and cell.diameter() < cfg.min_diameter:
             return verdict(VerdictKind.UNDECIDED)
-        status = certify_cell(A, cell, cfg.sigma, cfg.tolerance)
-        min_vertex = min(min_vertex, *status.vertex_values)
+        status = _classify(values, coefficients.min, cfg.sigma, cfg.tolerance)
+        min_vertex = min(min_vertex, *values)
         if status.kind is CellKind.NEGATIVE_VERTEX:
             witness = np.array(cell.vertices[status.vertex_index])
             return verdict(VerdictKind.NOT_COPOSITIVE, witness=witness)
@@ -211,9 +238,15 @@ def detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdict:
             if certified is not None:
                 certified.append(cell)
             continue
+        p, q = cell.longest_edge()
         first, second = cell.bisect_longest_edge()
-        frontier.push(first, depth + 1)
-        frontier.push(second, depth + 1)
+        # Vertex values are never read off the coefficients: the midpoint
+        # gets an exact form evaluation, the same one certify_cell would make.
+        mid = A.form(first.vertices[p])
+        for child, moved, kept in ((first, p, q), (second, q, p)):
+            child_values = values[:moved] + (mid,) + values[moved + 1 :]
+            child_coefficients = split_coefficients(coefficients, m, n, moved, kept)
+            frontier.push((child, child_coefficients, child_values), depth + 1)
         max_depth = max(max_depth, depth + 1)
     return verdict(
         VerdictKind.COPOSITIVE,

@@ -43,7 +43,7 @@ class Simplex:
     refinements.
     """
 
-    __slots__ = ("_vertices",)
+    __slots__ = ("_vertices", "_edge")
 
     def __init__(self, vertices, *, validate: bool = True):
         V = np.array(vertices, dtype=float)
@@ -59,6 +59,7 @@ class Simplex:
                 raise DegenerateCellError("vertices are affinely dependent")
         V.setflags(write=False)
         self._vertices = V
+        self._edge = None
 
     @property
     def dim(self) -> int:
@@ -79,18 +80,26 @@ class Simplex:
 
     def _longest_edge(self) -> tuple[int, int, float]:
         """Lexicographically first pair (p, q), p < q, of maximal squared
-        length; ties are broken toward the smallest (p, q)."""
-        n = self.dim
-        best_d2 = -1.0
-        best = (0, 1)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                diff = self._vertices[p] - self._vertices[q]
-                d2 = float(diff @ diff)
-                if d2 > best_d2:
-                    best_d2 = d2
-                    best = (p, q)
-        return best[0], best[1], best_d2
+        length, and that length; ties are broken toward the smallest
+        (p, q).  Computed once per cell."""
+        if self._edge is None:
+            n = self.dim
+            best_d2 = -1.0
+            best = (0, 1)
+            for p in range(n - 1):
+                for q in range(p + 1, n):
+                    diff = self._vertices[p] - self._vertices[q]
+                    d2 = float(diff @ diff)
+                    if d2 > best_d2:
+                        best_d2 = d2
+                        best = (p, q)
+            self._edge = (best[0], best[1], best_d2)
+        return self._edge
+
+    def longest_edge(self) -> tuple[int, int]:
+        """The edge (p, q), p < q, that :meth:`bisect_longest_edge` splits."""
+        p, q, _ = self._longest_edge()
+        return p, q
 
     def diameter(self) -> float:
         """Largest pairwise vertex distance."""
@@ -135,17 +144,20 @@ class PartitionFrontier:
 
     Only bisections feed it: together with the certified cells the frontier
     always covers the standard simplex with pairwise disjoint interiors.
+    The detector pushes one record per cell, the simplex first and the
+    data it carries after it; :meth:`cells` and :meth:`max_diameter` expect
+    bare simplices.
     """
 
     __slots__ = ("_items",)
 
-    def __init__(self, items: Iterable[tuple[Simplex, int]] = ()):
-        self._items: list[tuple[Simplex, int]] = list(items)
+    def __init__(self, items: Iterable[tuple[object, int]] = ()):
+        self._items: list[tuple[object, int]] = list(items)
 
-    def push(self, cell: Simplex, depth: int = 0) -> None:
+    def push(self, cell: object, depth: int = 0) -> None:
         self._items.append((cell, int(depth)))
 
-    def pop(self) -> tuple[Simplex, int]:
+    def pop(self) -> tuple[object, int]:
         """Most recently pushed cell and its depth; IndexError when empty."""
         return self._items.pop()
 
@@ -155,7 +167,7 @@ class PartitionFrontier:
     def __bool__(self) -> bool:
         return bool(self._items)
 
-    def __iter__(self) -> Iterator[tuple[Simplex, int]]:
+    def __iter__(self) -> Iterator[tuple[object, int]]:
         return iter(self._items)
 
     def cells(self) -> list[Simplex]:

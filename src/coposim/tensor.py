@@ -10,10 +10,18 @@ weighted by the multinomial multiplicity ``m! / (c_1! ... c_n!)``, where
 
 Summations that feed sign decisions (form values, inner products) use
 ``math.fsum`` so accumulation error cannot flip a comparison against zero.
+
+The same canonical ordering indexes a cell's Bernstein coefficients: the
+coefficients of the form in the barycentric coordinates of a simplex,
+listed for every canonical key (zeros included).
+:func:`split_coefficients` derives a child cell's coefficients from its
+parent's by midpoint subdivision (de Casteljau in the simplicial Bernstein
+basis), with no dense array.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -27,6 +35,7 @@ __all__ = [
     "canonical_key",
     "canonical_keys",
     "multiplicity",
+    "split_coefficients",
 ]
 
 
@@ -74,10 +83,11 @@ class SymmetricTensor:
         Mapping (or iterable of pairs) from multi-index to coefficient.
         Multi-indices may arrive in any order and are canonicalized; two
         entries that collide on the same canonical key are rejected.
-        Exact zeros are dropped; absent keys read as zero.
+        Exact zeros are dropped; absent keys read as zero.  NaN and
+        infinite values are rejected.
     """
 
-    __slots__ = ("_order", "_dim", "_entries", "_dense")
+    __slots__ = ("_order", "_dim", "_entries", "_dense", "_terms", "_gradient")
 
     def __init__(self, order, dim, entries=None):
         order = int(order)
@@ -95,12 +105,16 @@ class SymmetricTensor:
                 if key in canonical:
                     raise ValueError(f"duplicate canonical key {key}")
                 value = float(value)
+                if not math.isfinite(value):
+                    raise ValueError(f"entry {key} is not finite: {value}")
                 if value != 0.0:
                     canonical[key] = value
         self._order = order
         self._dim = dim
         self._entries = dict(sorted(canonical.items()))
         self._dense = None
+        self._terms = None
+        self._gradient = None
 
     @staticmethod
     def _check_key_static(key: tuple[int, ...], order: int, dim: int) -> None:
@@ -200,28 +214,65 @@ class SymmetricTensor:
 
     # -- evaluations ----------------------------------------------------------
 
+    def _form_arrays(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """Key columns and weights of the stored entries, built on first use:
+        column ``j`` holds the 0-based ``j``-th index of every key, and each
+        weight is ``multiplicity(key) * value``."""
+        if self._terms is None:
+            keys = np.array(list(self._entries), dtype=np.intp).reshape(-1, self._order) - 1
+            weights = np.array([multiplicity(k) * v for k, v in self._entries.items()])
+            self._terms = (tuple(np.ascontiguousarray(col) for col in keys.T), weights)
+        return self._terms
+
+    def _gradient_arrays(self) -> tuple[tuple[np.ndarray, ...], np.ndarray, list[int]]:
+        """Rest-index columns, weights and component bounds for
+        :meth:`gradient_form`, built on first use.  Each stored key gives one
+        term per distinct index ``i``, with run length ``count``: weight
+        ``((value * mult) * count) / m`` times the key with one ``i``
+        removed.  Component ``i`` owns the terms ``bounds[i]:bounds[i + 1]``."""
+        if self._gradient is None:
+            m = self._order
+            terms = sorted(
+                (
+                    (i - 1, key[:start] + key[start + 1 :], value * multiplicity(key) * count / m)
+                    for key, value in self._entries.items()
+                    for i, start, count in _run_lengths(key)
+                ),
+                key=lambda term: term[0],
+            )
+            rest = np.array([t[1] for t in terms], dtype=np.intp).reshape(len(terms), m - 1) - 1
+            bounds = np.searchsorted([t[0] for t in terms], np.arange(self._dim + 1)).tolist()
+            self._gradient = (
+                tuple(np.ascontiguousarray(col) for col in rest.T),
+                np.array([t[2] for t in terms]),
+                bounds,
+            )
+        return self._gradient
+
+    @staticmethod
+    def _terms_at(columns, weights, x) -> list[float]:
+        """``weights * (x[c0] * x[c1] * ...)``, the product taken left to
+        right as ``math.prod`` would."""
+        if not columns:
+            return weights.tolist()
+        prod = x[columns[0]]
+        for col in columns[1:]:
+            prod = prod * x[col]
+        return (weights * prod).tolist()
+
     def form(self, x) -> float:
         """Value of the homogeneous form: the full contraction against ``x``."""
         x = self._check_vector(x)
-        return math.fsum(
-            multiplicity(key) * value * math.prod(x[i - 1] for i in key)
-            for key, value in self._entries.items()
-        )
+        return math.fsum(self._terms_at(*self._form_arrays(), x))
 
     def gradient_form(self, x) -> np.ndarray:
         """One-slot contraction: component ``i`` sums the coefficient times
         ``x`` over the remaining ``m - 1`` slots of every entry with a leading
         index ``i``.  Satisfies ``x @ gradient_form(x) == form(x)``."""
         x = self._check_vector(x)
-        m = self._order
-        terms: list[list[float]] = [[] for _ in range(self._dim)]
-        for key, value in self._entries.items():
-            mult = multiplicity(key)
-            for i, start, count in _run_lengths(key):
-                rest = key[:start] + key[start + 1 :]
-                weight = value * mult * count / m
-                terms[i - 1].append(weight * math.prod(x[j - 1] for j in rest))
-        return np.array([math.fsum(t) for t in terms])
+        columns, weights, bounds = self._gradient_arrays()
+        terms = self._terms_at(columns, weights, x)
+        return np.array([math.fsum(terms[a:b]) for a, b in zip(bounds, bounds[1:])])
 
     def mixed_form(self, x, k: int, y) -> float:
         """Partial contraction with ``k`` slots filled by ``x`` and the
@@ -276,6 +327,13 @@ class SymmetricTensor:
         """Frobenius norm over the dense index space."""
         return math.sqrt(self.inner(self))
 
+    def coefficient_vector(self) -> np.ndarray:
+        """Every canonical coefficient, zeros included, in lexicographic key
+        order: the Bernstein coefficients of the standard simplex."""
+        return np.array(
+            [self._entries.get(key, 0.0) for key in canonical_keys(self._order, self._dim)]
+        )
+
     def min_coefficient(self) -> float:
         """Smallest coefficient over all canonical multi-indices, implicit
         zeros included."""
@@ -307,7 +365,9 @@ class SymmetricTensor:
         """Coefficients of the form in the coordinates spanned by the columns
         of ``V``: entry ``(i_1 .. i_m)`` equals the multilinear value against
         columns ``i_1, ..., i_m``.  Satisfies
-        ``congruence(V).form(lam) == form(V @ lam)``."""
+        ``congruence(V).form(lam) == form(V @ lam)``.  Computed from scratch
+        with a dense contraction; the detector derives the same coefficients
+        by :func:`split_coefficients`, and this is the reference for them."""
         V = np.asarray(V, dtype=float)
         if V.shape != (self._dim, self._dim):
             raise ValueError(f"expected a {self._dim}x{self._dim} matrix, got {V.shape}")
@@ -366,3 +426,45 @@ class SymmetricTensor:
     @classmethod
     def from_json(cls, text: str) -> "SymmetricTensor":
         return cls.from_json_dict(json.loads(text))
+
+
+@functools.lru_cache(maxsize=256)
+def _split_table(order: int, dim: int, p: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gather plan for :func:`split_coefficients`, built the first time the
+    edge is split.  Row ``t`` of the child takes ``weight * parent[source]``
+    over its entries: a key with ``k`` copies of ``p`` draws, for each
+    ``j``, on the key with ``j`` of them replaced by ``q``, with weight
+    ``C(k, j) / 2**k`` (exact in binary).  Keys without ``p`` copy over."""
+    if not (0 <= p < dim and 0 <= q < dim) or p == q:
+        raise ValueError(f"({p}, {q}) is not an edge of a {dim}-vertex cell")
+    keys = list(canonical_keys(order, dim))
+    index = {key: t for t, key in enumerate(keys)}
+    P, Q = p + 1, q + 1
+    rows, sources, weights = [], [], []
+    for t, key in enumerate(keys):
+        k = key.count(P)
+        rest = tuple(i for i in key if i != P)
+        for j in range(k + 1):
+            rows.append(t)
+            sources.append(index[tuple(sorted(rest + (Q,) * j + (P,) * (k - j)))])
+            weights.append(math.comb(k, j) / 2**k)
+    table = (np.array(rows, dtype=np.intp), np.array(sources, dtype=np.intp), np.array(weights))
+    for array in table:
+        array.setflags(write=False)
+    return table
+
+
+def split_coefficients(coefficients: np.ndarray, order: int, dim: int, p: int, q: int) -> np.ndarray:
+    """Bernstein coefficients of the child cell that replaces vertex ``p``
+    (0-based) by the midpoint of edge ``(p, q)``, from the parent's.
+
+    ``coefficients`` lists the parent's coefficient for every canonical key
+    of shape ``(order, dim)`` in lexicographic order, as
+    :meth:`SymmetricTensor.coefficient_vector` does for the standard
+    simplex.  Each child coefficient is a convex combination of at most
+    ``order + 1`` parent coefficients, so the cost is O(keys * order) and
+    rounding cannot grow the coefficients' range.  The other child of the
+    split is ``split_coefficients(coefficients, order, dim, q, p)``.
+    """
+    rows, sources, weights = _split_table(order, dim, p, q)
+    return np.bincount(rows, weights=weights * coefficients[sources], minlength=len(coefficients))

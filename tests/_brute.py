@@ -6,10 +6,11 @@ summation paths used by the library.
 """
 
 import itertools
+import math
 
 import numpy as np
 
-from coposim import SymmetricTensor, canonical_keys
+from coposim import SymmetricTensor, canonical_keys, multiplicity
 
 
 def dense_of(A: SymmetricTensor) -> np.ndarray:
@@ -45,6 +46,35 @@ def brute_gradient(dense: np.ndarray, x) -> np.ndarray:
             total += term
         out[first] = total
     return out
+
+
+def loop_form(A: SymmetricTensor, x) -> float:
+    """The per-key ``fsum`` loop the library's ``form`` must match bit for
+    bit: each term is ``(multiplicity * value) * prod(x over the key)``."""
+    x = np.asarray(x, dtype=float)
+    return math.fsum(
+        multiplicity(key) * value * math.prod(x[i - 1] for i in key)
+        for key, value in A.entries.items()
+    )
+
+
+def loop_gradient(A: SymmetricTensor, x) -> np.ndarray:
+    """The per-key ``fsum`` loop the library's ``gradient_form`` must match
+    bit for bit: per distinct index ``i`` of a key, with run length
+    ``count``, the term ``((value * mult) * count) / m`` times the product
+    over the key with one ``i`` removed, and one ``fsum`` per component."""
+    x = np.asarray(x, dtype=float)
+    m = A.order
+    terms: list[list[float]] = [[] for _ in range(A.dim)]
+    for key, value in A.entries.items():
+        mult = multiplicity(key)
+        for i, group in itertools.groupby(key):
+            count = len(list(group))
+            start = key.index(i)
+            rest = key[:start] + key[start + 1 :]
+            weight = value * mult * count / m
+            terms[i - 1].append(weight * math.prod(x[j - 1] for j in rest))
+    return np.array([math.fsum(t) for t in terms])
 
 
 def brute_mixed(dense: np.ndarray, x, k: int, y) -> float:

@@ -210,6 +210,34 @@ def test_usage_errors(capsys, tmp_path):
     code, _, _ = run(capsys, "detect", str(malformed))
     assert code == EXIT_DATA
 
+    gen = ["--gen", "eta-ones", "--m", "3", "--n", "3", "--eta", "19"]
+    for argv in (
+        ["detect", *gen, "--sigma", "-0.5"],
+        ["detect", *gen, "--sigma", "nan"],
+        ["detect", *gen, "--max-iter", "0"],
+        ["detect", *gen, "--tol", "-1e-9"],
+        ["detect", *gen, "--min-diameter", "-1"],
+        ["table", "1", "--max-iter", "0"],
+        ["spectral", "--gen", "ones", "--m", "3", "--n", "3", "--max-iter", "0"],
+        ["spectral", "--gen", "ones", "--m", "3", "--n", "3", "--tol", "0"],
+        ["prescreen", *gen, "--depth", "0"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == EXIT_USAGE, argv
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_detect_rejects_nonfinite_entries(capsys, tmp_path, value):
+    path = tmp_path / "nonfinite.json"
+    path.write_text(
+        '{"order": 2, "dim": 2, "entries": [{"idx": [1, 1], "val": %s}, '
+        '{"idx": [2, 2], "val": 1.0}]}' % value
+    )
+    code, out, err = run(capsys, "detect", str(path))
+    assert code == EXIT_DATA
+    assert out == "" and "not finite" in err
+
 
 def test_spectral_rejects_negative_tensor(capsys):
     code, _, err = run(

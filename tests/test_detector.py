@@ -6,6 +6,7 @@ import pytest
 from coposim import (
     CellKind,
     DetectorConfig,
+    SymmetricTensor,
     VerdictKind,
     certify_cell,
     check_boundary_zero_stall,
@@ -15,6 +16,7 @@ from coposim import (
     motzkin_tensor,
     ones_tensor,
     random_tensor,
+    spectral_radius,
     standard_simplex,
     verify_witness,
 )
@@ -271,3 +273,32 @@ def test_random_copositive_runs_certify_immediately():
         assert verdict.kind is VerdictKind.COPOSITIVE
         assert verdict.iterations == 1
         assert verdict.max_depth == 0
+
+
+def test_search_carries_coefficients_and_vertex_values(monkeypatch):
+    # Every bisection costs one form evaluation (the midpoint, shared by
+    # both children) and no fresh congruence; the root costs n.
+    calls = []
+    form = SymmetricTensor.form
+
+    def counted(self, x):
+        calls.append(1)
+        return form(self, x)
+
+    def forbidden(self, V):
+        raise AssertionError("detect must not recompute a congruence")
+
+    monkeypatch.setattr(SymmetricTensor, "form", counted)
+    monkeypatch.setattr(SymmetricTensor, "congruence", forbidden)
+    verdict = detect(eta_shift(9.01, ones_tensor(3, 3)))
+    assert verdict.kind is VerdictKind.COPOSITIVE and verdict.iterations == 59
+    bisections = (verdict.iterations - 1) // 2
+    assert len(calls) == 3 + bisections
+
+
+def test_deep_random_search_runs_to_completion():
+    B = random_tensor(6, 5, 0)
+    verdict = detect(eta_shift(spectral_radius(B).rho + 1.0, B), DetectorConfig(max_iterations=5000))
+    assert verdict.kind is VerdictKind.COPOSITIVE
+    assert verdict.iterations == 1847
+    assert verdict.max_depth == 33

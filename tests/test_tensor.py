@@ -1,10 +1,14 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import coposim
 from coposim import (
     SymmetricTensor,
     canonical_keys,
@@ -15,6 +19,7 @@ from coposim import (
     multiplicity,
     ones_tensor,
 )
+from coposim.tensor import split_coefficients
 
 from _brute import (
     brute_form,
@@ -24,6 +29,8 @@ from _brute import (
     brute_multilinear,
     close,
     dense_of,
+    loop_form,
+    loop_gradient,
     random_symmetric,
 )
 
@@ -243,6 +250,73 @@ def test_brute_force_equivalence():
         assert close(A.multilinear(factors), brute_multilinear(dense, factors))
         B = random_symmetric(rng, m, n)
         assert close(A.inner(B), brute_inner(dense, dense_of(B)))
+
+
+@pytest.mark.parametrize("m, n", [(3, 3), (4, 4), (6, 3), (6, 5), (4, 8), (3, 10)])
+def test_form_and_gradient_match_reference_loops_exactly(m, n):
+    rng = np.random.default_rng(1000 * m + n)
+    for trial in range(5):
+        A = random_symmetric(rng, m, n)
+        if trial % 2:  # some keys absent
+            A = SymmetricTensor(m, n, {k: v for k, v in A.entries.items() if rng.random() < 0.5})
+        for x in (rng.uniform(-1, 1, size=n), rng.dirichlet(np.ones(n)), np.eye(n)[0]):
+            assert A.form(x) == loop_form(A, x)
+            assert np.array_equal(A.gradient_form(x), loop_gradient(A, x))
+
+
+def test_split_coefficients_track_the_congruence():
+    # Each split is a convex combination of at most m + 1 parent
+    # coefficients: at most 2m + 1 roundings of eps/2 relative to max|A|,
+    # so each level adds under (m + 1) * eps * max|A| to the carried
+    # error.  The dense reference adds about m * n such roundings.  The
+    # bound is fixed from eps, the shape and the depth alone.
+    eps = np.finfo(float).eps
+    depth = 40
+    rng = np.random.default_rng(53)
+    for m, n in ((2, 3), (3, 3), (4, 4), (6, 3), (6, 5)):
+        for _ in range(3):
+            A = random_symmetric(rng, m, n)
+            scale = max(abs(v) for v in A.entries.values())
+            V = np.eye(n)
+            c = A.coefficient_vector()
+            assert np.array_equal(c, A.congruence(V).coefficient_vector())
+            for level in range(1, depth + 1):
+                p, q = (int(i) for i in rng.choice(n, size=2, replace=False))
+                V[:, p] = 0.5 * (V[:, p] + V[:, q])
+                c = split_coefficients(c, m, n, p, q)
+                reference = A.congruence(V).coefficient_vector()
+                tol = (level * (m + 1) + m * n) * eps * scale
+                assert np.max(np.abs(c - reference)) <= tol
+    with pytest.raises(ValueError):
+        split_coefficients(ones_tensor(3, 3).coefficient_vector(), 3, 3, 1, 1)
+
+
+def test_split_tables_are_built_on_demand_bounded_and_readonly():
+    probe = (
+        "import coposim, coposim.cli, coposim.tensor as t\n"
+        "info = t._split_table.cache_info()\n"
+        "print(info.currsize, info.maxsize)\n"
+    )
+    src = os.path.dirname(os.path.dirname(coposim.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout.split()
+    assert out[0] == "0" and int(out[1]) > 0
+    from coposim.tensor import _split_table
+
+    for array in _split_table(3, 4, 0, 2):
+        assert not array.flags.writeable
+
+
+def test_nonfinite_entries_rejected():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            SymmetricTensor(2, 2, {(1, 1): bad})
+    with pytest.raises(ValueError, match="not finite"):
+        SymmetricTensor.from_json('{"order": 2, "dim": 2, "entries": [{"idx": [1, 2], "val": NaN}]}')
+    with pytest.raises(ValueError, match="not finite"):
+        from_polynomial(2, 2, [((2, 0), math.inf)])
 
 
 def test_multilinear_factor_permutation_invariance():
