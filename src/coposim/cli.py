@@ -2,13 +2,17 @@
 instance generation, and reproduction of the three benchmark tables.
 
 Exit codes: 0 copositive (or certified up to sigma), 1 not copositive,
-2 undecided, 64 usage error, 65 malformed input, 66 missing input,
-70 internal error.
+2 undecided, 64 usage error, 65 malformed input, 66 missing or unreadable
+input, 70 internal error.
+
+The argument parser is built once per process, on the first call of
+``main``, and reused by every later call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -43,6 +47,10 @@ GENERATORS = (
 
 
 class UsageError(Exception):
+    pass
+
+
+class NoInputError(Exception):
     pass
 
 
@@ -122,8 +130,11 @@ def _load_tensor(args) -> tuple[SymmetricTensor, dict]:
     source = getattr(args, "source", None)
     if not source:
         raise UsageError("provide a tensor file or --gen NAME")
-    with open(source, "r", encoding="utf-8") as handle:
-        obj = json.load(handle)
+    try:
+        with open(source, "r", encoding="utf-8") as handle:
+            obj = json.load(handle)
+    except OSError as exc:
+        raise NoInputError(f"cannot read {source}: {exc.strerror or exc}") from exc
     if isinstance(obj, dict) and "monomials" in obj:
         return instances.polynomial_from_json(obj), {"file": source, "format": "polynomial"}
     return SymmetricTensor.from_json_dict(obj), {"file": source, "format": "tensor"}
@@ -398,6 +409,7 @@ def _add_source_arguments(parser, with_eta=True):
     parser.add_argument("--out", help="also write the JSON result to this file")
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="coposim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -449,7 +461,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"coposim: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (NoInputError, FileNotFoundError) as exc:
         print(f"coposim: error: {exc}", file=sys.stderr)
         return EXIT_NOINPUT
     except (ValueError, json.JSONDecodeError) as exc:

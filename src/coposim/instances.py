@@ -12,7 +12,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .tensor import SymmetricTensor, canonical_keys, multiplicity
+from .tensor import SymmetricTensor, canonical_keys, integer, multiplicity
 
 __all__ = [
     "Monomial",
@@ -82,7 +82,8 @@ class Monomial:
     coefficient: float
 
     def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(int(e) for e in self.exponents))
+        exponents = tuple(integer(e, "exponent") for e in self.exponents)
+        object.__setattr__(self, "exponents", exponents)
         object.__setattr__(self, "coefficient", float(self.coefficient))
         if any(e < 0 for e in self.exponents):
             raise ValueError(f"exponents must be nonnegative, got {self.exponents}")
@@ -105,8 +106,8 @@ def from_polynomial(
     the polynomial exactly: the key for exponent vector ``a`` repeats index
     ``i`` exactly ``a_i`` times and carries ``coeff * prod(a_i!) / m!``.
     """
-    order = int(order)
-    dim = int(dim)
+    order = integer(order, "order")
+    dim = integer(dim, "dim")
     entries: dict[tuple[int, ...], float] = {}
     seen: set[tuple[int, ...]] = set()
     for spec in monomials:

@@ -13,7 +13,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .tensor import SymmetricTensor
+from .tensor import SymmetricTensor, integer
 
 __all__ = [
     "DIAGONAL",
@@ -150,22 +150,27 @@ def subtensor_sample_refute(
     Depth 1 samples the sub-simplex centroid; depth ``g`` uses the interior
     lattice of denominator ``g + len(J) - 1``.  Passing certifies nothing
     (sampling is one-sided).
+
+    Each sample is the form of ``A`` at the embedded point: the terms of
+    keys inside ``J`` are those of the subtensor's form, and every other
+    term is an exact zero, so no subtensor is built.
     """
-    J = tuple(sorted({int(j) for j in J}))
+    J = tuple(sorted({integer(j) for j in J}))
     if not J:
         raise ValueError("index subset must be nonempty")
+    if J[0] < 1 or J[-1] > A.dim:
+        raise ValueError(f"index subset {list(J)} out of range 1..{A.dim}")
     grid_depth = int(grid_depth)
     if grid_depth < 1:
         raise ValueError(f"grid_depth must be >= 1, got {grid_depth}")
-    sub = A.principal_subtensor(J)
     d = grid_depth + len(J) - 1
+    support = np.array(J) - 1
     for x in barycentric_lattice(len(J), d, interior=True):
-        if sub.form(x) < -tau:
-            witness = np.zeros(A.dim)
-            for position, j in enumerate(J):
-                witness[j - 1] = x[position]
+        point = np.zeros(A.dim)
+        point[support] = x
+        if A.form(point) < -tau:
             return PrescreenReport(
-                False, violated_condition=SUBTENSOR_SAMPLE, witness=witness, J=J
+                False, violated_condition=SUBTENSOR_SAMPLE, witness=point, J=J
             )
     return PrescreenReport(True, J=J)
 
@@ -214,16 +219,16 @@ def run_prescreen(
     tau: float = 1e-12,
 ) -> PrescreenReport:
     """Fixed-order refuter battery, stopping at the first failure:
-    diagonal entries, then subtensor sampling on all singletons and pairs,
-    then the zero-point gradient test when a zero of the form is supplied.
+    diagonal entries, then subtensor sampling on all pairs of indices, then
+    the zero-point gradient test when a zero of the form is supplied.
+
+    Singletons are not sampled: the only sample of a one-index subtensor is
+    its diagonal entry, which the diagonal check has already passed.
     """
     report = diagonal_check(A, tau)
     if not report.passed:
         return report
-    indices = range(1, A.dim + 1)
-    subsets = [(i,) for i in indices]
-    subsets += [pair for pair in itertools.combinations(indices, 2)]
-    for J in subsets:
+    for J in itertools.combinations(range(1, A.dim + 1), 2):
         report = subtensor_sample_refute(A, J, grid_depth, tau)
         if not report.passed:
             return report

@@ -25,6 +25,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -39,9 +40,28 @@ __all__ = [
 ]
 
 
+def integer(value, what: str = "index") -> int:
+    """``value`` as an ``int``: Python and numpy integers, and floats with
+    no fractional part, are accepted; bools, strings, fractional floats and
+    anything else raise ``ValueError``."""
+    if type(value) is int:
+        return value
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def canonical_key(idx: Iterable[int]) -> tuple[int, ...]:
-    """Sort a multi-index into its canonical (nondecreasing) form."""
-    return tuple(sorted(int(i) for i in idx))
+    """Sort a multi-index into its canonical (nondecreasing) form; every
+    index must pass :func:`integer`."""
+    key = tuple(idx)
+    for i in key:
+        if type(i) is not int:  # plain ints, the common case, need no check
+            key = tuple(map(integer, key))
+            break
+    return tuple(sorted(key))
 
 
 def canonical_keys(order: int, dim: int) -> Iterator[tuple[int, ...]]:
@@ -57,17 +77,22 @@ def multiplicity(key: tuple[int, ...]) -> int:
     return count
 
 
-def _run_lengths(key: tuple[int, ...]) -> Iterator[tuple[int, int, int]]:
-    """Yield (index value, first position, run length) for a sorted key."""
-    start = 0
-    m = len(key)
-    while start < m:
-        value = key[start]
-        end = start
-        while end < m and key[end] == value:
-            end += 1
-        yield value, start, end - start
-        start = end
+def _run_positions(keys: np.ndarray) -> np.ndarray:
+    """For a matrix of sorted keys (one per row), the 1-based position of
+    every entry within its run of equal indices, built column by column."""
+    positions = np.ones(keys.shape, dtype=np.int64)
+    for j in range(1, keys.shape[1]):
+        positions[:, j] += (keys[:, j] == keys[:, j - 1]) * positions[:, j - 1]
+    return positions
+
+
+def _multiplicities(positions: np.ndarray) -> np.ndarray:
+    """``multiplicity`` of every key, as floats, from its run positions:
+    the product of a key's run positions is ``c_1! ... c_n!``.  Exact in
+    int64 up to order 20 (``20!`` fits); above that in Python ints."""
+    m = positions.shape[1]
+    counts = positions if m <= 20 else positions.astype(object)
+    return (math.factorial(m) // np.prod(counts, axis=1)).astype(float)
 
 
 class SymmetricTensor:
@@ -90,8 +115,8 @@ class SymmetricTensor:
     __slots__ = ("_order", "_dim", "_entries", "_dense", "_terms", "_gradient")
 
     def __init__(self, order, dim, entries=None):
-        order = int(order)
-        dim = int(dim)
+        order = integer(order, "order")
+        dim = integer(dim, "dim")
         if order < 1:
             raise ValueError(f"order must be a positive integer, got {order}")
         if dim < 1:
@@ -220,7 +245,8 @@ class SymmetricTensor:
         weight is ``multiplicity(key) * value``."""
         if self._terms is None:
             keys = np.array(list(self._entries), dtype=np.intp).reshape(-1, self._order) - 1
-            weights = np.array([multiplicity(k) * v for k, v in self._entries.items()])
+            values = np.fromiter(self._entries.values(), dtype=float, count=len(self._entries))
+            weights = _multiplicities(_run_positions(keys)) * values
             self._terms = (tuple(np.ascontiguousarray(col) for col in keys.T), weights)
         return self._terms
 
@@ -229,24 +255,27 @@ class SymmetricTensor:
         :meth:`gradient_form`, built on first use.  Each stored key gives one
         term per distinct index ``i``, with run length ``count``: weight
         ``((value * mult) * count) / m`` times the key with one ``i``
-        removed.  Component ``i`` owns the terms ``bounds[i]:bounds[i + 1]``."""
+        removed.  Component ``i`` owns the terms ``bounds[i]:bounds[i + 1]``,
+        which keep storage order within it."""
         if self._gradient is None:
             m = self._order
-            terms = sorted(
-                (
-                    (i - 1, key[:start] + key[start + 1 :], value * multiplicity(key) * count / m)
-                    for key, value in self._entries.items()
-                    for i, start, count in _run_lengths(key)
-                ),
-                key=lambda term: term[0],
-            )
-            rest = np.array([t[1] for t in terms], dtype=np.intp).reshape(len(terms), m - 1) - 1
-            bounds = np.searchsorted([t[0] for t in terms], np.arange(self._dim + 1)).tolist()
-            self._gradient = (
-                tuple(np.ascontiguousarray(col) for col in rest.T),
-                np.array([t[2] for t in terms]),
-                bounds,
-            )
+            columns, scaled = self._form_arrays()
+            keys = np.stack(columns, axis=1)
+            positions = _run_positions(keys)
+            # Run lengths, read right to left off the last position of each run.
+            lengths = positions.copy()
+            for j in range(m - 2, -1, -1):
+                same = keys[:, j] == keys[:, j + 1]
+                lengths[same, j] = lengths[same, j + 1]
+            rows, starts = np.nonzero(positions == 1)
+            index = keys[rows, starts]
+            order = np.argsort(index, kind="stable")
+            rows, starts, index = rows[order], starts[order], index[order]
+            slots = np.arange(m - 1)
+            rest = keys[rows[:, None], slots + (slots >= starts[:, None])]
+            weights = scaled[rows] * lengths[rows, starts] / m
+            bounds = np.searchsorted(index, np.arange(self._dim + 1)).tolist()
+            self._gradient = (tuple(np.ascontiguousarray(col) for col in rest.T), weights, bounds)
         return self._gradient
 
     @staticmethod
@@ -287,7 +316,7 @@ class SymmetricTensor:
         fact_r = math.factorial(m - k)
         total: list[float] = []
         for key, value in self._entries.items():
-            support = [(i, c) for i, _, c in _run_lengths(key)]
+            support = [(i, len(list(group))) for i, group in itertools.groupby(key)]
             counts = [c for _, c in support]
             for split in itertools.product(*(range(c + 1) for c in counts)):
                 if sum(split) != k:

@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 
-from coposim import SymmetricTensor, canonical_keys, multiplicity
+from coposim import SymmetricTensor, barycentric_lattice, canonical_keys, multiplicity
+from coposim.prescreen import DIAGONAL, SUBTENSOR_SAMPLE, PrescreenReport
 
 
 def dense_of(A: SymmetricTensor) -> np.ndarray:
@@ -75,6 +76,31 @@ def loop_gradient(A: SymmetricTensor, x) -> np.ndarray:
             weight = value * mult * count / m
             terms[i - 1].append(weight * math.prod(x[j - 1] for j in rest))
     return np.array([math.fsum(t) for t in terms])
+
+
+def subtensor_prescreen(A: SymmetricTensor, grid_depth: int = 2,
+                        tau: float = 1e-12) -> PrescreenReport:
+    """The prescreen battery as it was first written: diagonal entries, then
+    every singleton and pair ``J``, each sampled on a freshly built
+    ``A.principal_subtensor(J)`` over the interior lattice of denominator
+    ``grid_depth + len(J) - 1``, a negative sample embedded back with zeros
+    off ``J``."""
+    n = A.dim
+    for i in range(1, n + 1):
+        if A[(i,) * A.order] < -tau:
+            return PrescreenReport(False, violated_condition=DIAGONAL,
+                                   witness=np.eye(n)[i - 1])
+    subsets = [(i,) for i in range(1, n + 1)] + list(itertools.combinations(range(1, n + 1), 2))
+    for J in subsets:
+        sub = A.principal_subtensor(J)
+        for x in barycentric_lattice(len(J), grid_depth + len(J) - 1, interior=True):
+            if sub.form(x) < -tau:
+                witness = np.zeros(n)
+                for position, j in enumerate(J):
+                    witness[j - 1] = x[position]
+                return PrescreenReport(False, violated_condition=SUBTENSOR_SAMPLE,
+                                       witness=witness, J=J)
+    return PrescreenReport(True)
 
 
 def brute_mixed(dense: np.ndarray, x, k: int, y) -> float:

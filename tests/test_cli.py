@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import coposim
 from coposim.cli import (
     EXIT_COPOSITIVE,
     EXIT_DATA,
@@ -11,6 +15,24 @@ from coposim.cli import (
     EXIT_USAGE,
     main,
 )
+
+
+SRC = os.path.dirname(os.path.dirname(coposim.__file__))
+
+
+def fresh(*argv):
+    """``coposim *argv`` in a new interpreter: (exit code, stdout)."""
+    child = subprocess.run(
+        [sys.executable, "-m", "coposim", *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": SRC}, timeout=120,
+    )
+    return child.returncode, child.stdout
+
+
+def without_elapsed(text):
+    record = json.loads(text)
+    record.pop("elapsed", None)
+    return record
 
 
 def run(capsys, *argv):
@@ -268,3 +290,84 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     )
     assert code == EXIT_COPOSITIVE
     assert json.loads(text) == json.loads(out.read_text())
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"order": 3, "dim": 2, "entries": [{"idx": [1.5, 2, 2], "val": 1.0}]},
+        {"order": 3, "dim": 2, "entries": [{"idx": [True, 2, 2], "val": 1.0}]},
+        {"order": 3, "dim": 2, "entries": [{"idx": ["1", 2, 2], "val": 1.0}]},
+        {"order": 2.7, "dim": 2, "entries": [{"idx": [1, 2], "val": 1.0}]},
+        {"order": 2, "dim": True, "entries": [{"idx": [1, 1], "val": 1.0}]},
+        {"order": 2, "dim": 2, "monomials": [{"exponents": [1.5, 0.5], "coeff": 1.0}]},
+    ],
+)
+def test_non_integral_indices_are_malformed_input(capsys, tmp_path, obj):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "detect", str(path))
+    assert code == EXIT_DATA
+    assert out == "" and "must be an integer" in err
+
+
+def test_unreadable_source_is_missing_input(capsys, tmp_path):
+    code, out, err = run(capsys, "detect", str(tmp_path))
+    assert code == EXIT_NOINPUT
+    assert out == "" and "cannot read" in err and "internal error" not in err
+
+
+def test_one_process_serves_many_calls_like_fresh_ones(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["detect", "--max-iter", "0"])
+    assert info.value.code == EXIT_USAGE
+    capsys.readouterr()
+    calls = (
+        ["detect", "--gen", "eta-ones", "--m", "3", "--n", "3", "--eta", "1"],
+        ["table", "1"],
+        ["prescreen", "--gen", "eta-ones", "--m", "3", "--n", "3", "--eta", "1", "--depth", "1"],
+    )
+    for argv in calls:
+        code, out, _ = run(capsys, *argv)
+        fresh_code, fresh_out = fresh(*argv)
+        assert code == fresh_code
+        if argv[0] == "table":
+            assert out == fresh_out
+        else:
+            assert without_elapsed(out) == without_elapsed(fresh_out)
+
+
+def test_help_lists_every_subcommand(capsys):
+    for _ in range(2):  # the reused parser prints the same help
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        for name in ("detect", "table", "spectral", "prescreen", "gen"):
+            assert name in out
+
+
+def test_import_builds_no_parser():
+    probe = (
+        "import argparse\n"
+        "built = []\n"
+        "original = argparse.ArgumentParser.__init__\n"
+        "def spy(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    original(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = spy\n"
+        "import os, coposim, coposim.cli\n"
+        "print(len(built))\n"
+        "coposim.cli.main(['gen', '--gen', 'motzkin', '--out', os.devnull])\n"
+        "once = len(built)\n"
+        "coposim.cli.main(['gen', '--gen', 'robinson', '--out', os.devnull])\n"
+        "print(once, len(built), built[0])\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    at_import, after_one_call, after_two_calls, first = child.stdout.split()
+    assert at_import == "0"
+    assert first == "coposim"
+    assert int(after_one_call) == int(after_two_calls) > 0

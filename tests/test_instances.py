@@ -80,6 +80,12 @@ def test_from_polynomial_validation():
         from_polynomial(6, 3, [((4, 2, 0), 1.0), ((4, 2, 0), 2.0)])
     with pytest.raises(ValueError):
         Monomial((1, -1, 6), 1.0)
+    for exponents in ((1.5, 0.5, 4), (True, 1, 4), ("2", 0, 4)):
+        with pytest.raises(ValueError):
+            Monomial(exponents, 1.0)
+    assert Monomial((np.int64(2), 4.0, 0), 1.0).exponents == (2, 4, 0)
+    with pytest.raises(ValueError):
+        from_polynomial(6.5, 3, [((4, 2, 0), 1.0)])
 
 
 def test_symmetrization_weights():

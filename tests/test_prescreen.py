@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,8 @@ from coposim import (
     zero_point_gradient_check,
 )
 from coposim.prescreen import DIAGONAL, PENCIL, SUBTENSOR_SAMPLE, ZERO_POINT_GRADIENT
+
+from _brute import random_symmetric, subtensor_prescreen
 
 
 def test_barycentric_lattice():
@@ -101,6 +105,9 @@ def test_subtensor_sample_refute():
         subtensor_sample_refute(E, [])
     with pytest.raises(ValueError):
         subtensor_sample_refute(E, [1], grid_depth=0)
+    for J in ([0, 1], [2, 4], [-1], [1.5, 2], [True, 2]):
+        with pytest.raises(ValueError):
+            subtensor_sample_refute(E, J)
 
 
 def test_pencil_refute():
@@ -194,6 +201,26 @@ def test_diagonal_failure_equivalent_to_first_iteration_refutation():
                 # iteration-one witnesses are unit vectors
                 assert sorted(verdict.witness) == [0.0, 0.0, 1.0]
             assert first_iteration_refuted == (not diagonal_check(A).passed)
+
+
+def test_run_prescreen_matches_the_principal_subtensor_oracle():
+    # Sampling on the full tensor at the embedded point must report exactly
+    # what sampling a freshly built principal subtensor reported, and
+    # skipping singletons must change nothing.
+    rng = np.random.default_rng(41)
+    kinds = Counter()
+    for trial in range(1200):
+        m = int(rng.integers(2, 5))
+        n = int(rng.integers(2, 7))
+        A = random_symmetric(rng, m, n, lo=float(rng.choice([-0.05, -0.2, -0.6])))
+        if trial % 3:  # a nonnegative diagonal, so the pair samples decide
+            A = SymmetricTensor(m, n, {k: abs(v) if len(set(k)) == 1 else v
+                                       for k, v in A.entries.items()})
+        depth = int(rng.integers(1, 4))
+        expected = subtensor_prescreen(A, depth).to_json_dict()
+        assert run_prescreen(A, grid_depth=depth).to_json_dict() == expected, (trial, m, n)
+        kinds[expected["violated_condition"]] += 1
+    assert kinds[SUBTENSOR_SAMPLE] >= 100 and kinds[DIAGONAL] >= 100 and kinds[None] >= 100
 
 
 def test_report_json():

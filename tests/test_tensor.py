@@ -19,7 +19,7 @@ from coposim import (
     multiplicity,
     ones_tensor,
 )
-from coposim.tensor import split_coefficients
+from coposim.tensor import _multiplicities, _run_positions, canonical_key, split_coefficients
 
 from _brute import (
     brute_form,
@@ -65,6 +65,30 @@ def test_entry_validation():
         I[(0, 1, 2)]
     with pytest.raises(ValueError):
         I[(1, 2, 4)]
+
+
+def test_vectorized_multiplicities_are_exact():
+    shapes = [(m, n) for m in range(1, 9) for n in range(1, 7)] + [(23, 3), (40, 2)]
+    for m, n in shapes:
+        keys = list(canonical_keys(m, n))
+        got = _multiplicities(_run_positions(np.array(keys) - 1))
+        assert got.dtype == float
+        assert got.tolist() == [float(multiplicity(key)) for key in keys], (m, n)
+
+
+def test_indices_must_be_integers():
+    assert canonical_key((np.int64(3), 1, np.int32(2))) == (1, 2, 3)
+    assert canonical_key([2.0, 1]) == (1, 2)
+    assert all(type(i) is int for i in canonical_key((np.int64(3), 2.0)))
+    for bad in ((1.5, 2), (True, 2), ("1", 2), (None, 1), (np.bool_(True), 1), (float("nan"), 1)):
+        with pytest.raises(ValueError):
+            canonical_key(bad)
+        with pytest.raises(ValueError):
+            SymmetricTensor(2, 3, [(bad, 1.0)])
+    for order, dim in ((2.7, 3), (2, 3.5), (True, 3), (2, "3"), (None, 3)):
+        with pytest.raises(ValueError):
+            SymmetricTensor(order, dim)
+    assert SymmetricTensor(np.int64(2), 3.0).dim == 3
 
 
 def test_constructor_validation():
@@ -252,7 +276,7 @@ def test_brute_force_equivalence():
         assert close(A.inner(B), brute_inner(dense, dense_of(B)))
 
 
-@pytest.mark.parametrize("m, n", [(3, 3), (4, 4), (6, 3), (6, 5), (4, 8), (3, 10)])
+@pytest.mark.parametrize("m, n", [(3, 3), (4, 4), (6, 3), (6, 5), (4, 8), (3, 10), (22, 3)])
 def test_form_and_gradient_match_reference_loops_exactly(m, n):
     rng = np.random.default_rng(1000 * m + n)
     for trial in range(5):
