@@ -1,4 +1,4 @@
-"""Symmetric tensors and their multilinear evaluations.
+"""Symmetric tensors and their forms.
 
 A tensor here is a coefficient table over sorted multi-indices; everything
 symmetric follows from that single stored representative per index class.
@@ -38,14 +38,10 @@ print("I x^3 =", I.form(x), " E x^3 =", E.form(x))
 g = E.gradient_form(x)
 print("E x^2 =", g, " check:", np.dot(x, g), "== E x^3 =", E.form(x))
 
-# Mixed contractions interpolate between the forms of two points, which is
-# exactly what the binomial expansion of A(x + y)^m is made of.
-y = np.array([0.2, 0.3, 0.5])
-import math
-expansion = sum(
-    math.comb(3, k) * E.mixed_form(x, 3 - k, y) for k in range(4)
-)
-print("E (x+y)^3 =", E.form(x + y), " expansion =", expansion)
+# The form is homogeneous of degree m, which is why copositivity can be
+# decided on the standard simplex alone: A (t x)^m = t^m A x^m.
+t = 3.0
+print("E (3x)^3 =", E.form(t * x), " 27 * E x^3 =", t**3 * E.form(x))
 
 # Tensors form a vector space; the detection benchmarks use pencils of the
 # shape eta * I - E.

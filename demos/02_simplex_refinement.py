@@ -8,7 +8,7 @@ partition exact and drives diameters to zero.
 
 import numpy as np
 
-from coposim import PartitionFrontier, standard_simplex
+from coposim import standard_simplex
 
 S = standard_simplex(3)
 print("root vertices:\n", S.vertices)
@@ -23,25 +23,27 @@ print("child diameters:", first.diameter(), second.diameter())
 
 # The vertex-matrix determinant is the cell's volume measure; each split
 # halves it exactly.
-det = lambda cell: abs(np.linalg.det(cell.vertex_matrix))
+det = lambda cell: abs(np.linalg.det(cell.vertices))
 print("determinants root/children:", det(S), det(first), det(second))
 
 # Any point of the simplex lands in exactly one child interior (boundary
-# points are shared).
-for x in ([0.6, 0.3, 0.1], [0.1, 0.6, 0.3], [0.5, 0.5, 0.0]):
-    print(x, "in first:", first.contains(x), "in second:", second.contains(x))
+# points are shared): its barycentric coordinates over that child's
+# vertices are all nonnegative.
+def inside(cell, x):
+    return bool(np.all(np.linalg.solve(cell.vertices.T, x) >= -1e-12))
 
-# The frontier is a plain LIFO stack: after a split pushes the children in
-# order, the second child is processed next, giving the depth-first walk
-# the detector needs for bounded memory and reproducible iteration counts.
-frontier = PartitionFrontier()
-frontier.push(S, 0)
-cell, depth = frontier.pop()
-a, b = cell.bisect_longest_edge()
-frontier.push(a, depth + 1)
-frontier.push(b, depth + 1)
-top, _ = frontier.pop()
-print("popped the second child:", top is b)
+
+for x in ([0.6, 0.3, 0.1], [0.1, 0.6, 0.3], [0.5, 0.5, 0.0]):
+    print(x, "in first:", inside(first, x), "in second:", inside(second, x))
+
+# The frontier is a plain list used as a stack: after a split appends the
+# children in order, the second child is processed next, giving the
+# depth-first walk the detector needs for bounded memory and reproducible
+# iteration counts.
+frontier = [S]
+a, b = frontier.pop().bisect_longest_edge()
+frontier.extend((a, b))
+print("popped the second child:", frontier.pop() is b)
 
 # Repeated refinement shrinks the largest diameter below any threshold.
 leaves = [standard_simplex(3)]

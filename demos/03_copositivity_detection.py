@@ -3,16 +3,15 @@
 A tensor is copositive when its form is nonnegative on the nonnegative
 orthant, which by scaling reduces to nonnegativity on the standard
 simplex.  Per cell, two one-sided tests run: a negative form value at a
-vertex refutes globally, and an entrywise-nonnegative coefficient tensor
-(the congruence transform by the cell's vertex matrix) certifies the cell.
-Whatever stays indeterminate is bisected.
+vertex refutes globally, and nonnegative Bernstein coefficients (the
+coefficients of the form in the cell's barycentric coordinates) certify
+the cell.  Whatever stays indeterminate is bisected.
 """
 
 import numpy as np
 
 from coposim import (
     DetectorConfig,
-    certify_cell,
     detect,
     eta_shift,
     ones_tensor,
@@ -33,26 +32,29 @@ for eta in (1.0, 8.99, 9.01, 19.0):
     print(line)
 
 # What the per-cell tests see on the root cell for eta = 19: vertex values
-# are strongly positive, yet one coefficient of the root certificate is
-# negative, so the cell must be refined before it certifies.
+# are strongly positive, yet one Bernstein coefficient of the root (on the
+# standard simplex these are the tensor's own entries) is negative, so the
+# cell must be refined before it certifies.
 A = eta_shift(19.0, E)
-status = certify_cell(A, standard_simplex(3))
-print("root cell status:", status.kind.value, " vertex values:", status.vertex_values)
-coefficients = A.congruence(standard_simplex(3).vertex_matrix)
-print("smallest root coefficient:", coefficients.min_coefficient())
+print("root vertex values:", [A.form(v) for v in standard_simplex(3).vertices])
+print("smallest root coefficient:", A.coefficient_vector().min())
 
-# Retaining the certificate gives a machine-checkable proof object: every
-# kept cell re-certifies from its vertex matrix alone, and the cells tile
-# the simplex.
+# Retaining the certificate gives a proof object that can be checked
+# outside the search: the kept cells tile the simplex (every point has
+# nonnegative barycentric coordinates in some cell), and the form is
+# nonnegative on each of them.
 verdict = detect(A, DetectorConfig(keep_certificates=True))
-print("certified cells:", len(verdict.certified_cells))
+cells = verdict.certified_cells
+print("certified cells:", len(cells))
 rng = np.random.default_rng(0)
 sample = rng.dirichlet(np.ones(3), size=200)
 covered = all(
-    any(cell.contains(x, tol=1e-9) for cell in verdict.certified_cells)
+    any(np.all(np.linalg.solve(cell.vertices.T, x) >= -1e-9) for cell in cells)
     for x in sample
 )
 print("200 random points covered by the certificate:", covered)
+inner = [cell.vertices.T @ lam for cell in cells for lam in rng.dirichlet(np.ones(3), size=20)]
+print("smallest form value at 20 points per cell:", min(A.form(x) for x in inner))
 
 # At the threshold itself the input is copositive but not strictly so;
 # the refinement never terminates and the budget converts honestly into

@@ -2,22 +2,25 @@
 
 Tensors that are copositive but have a zero on the simplex defeat the
 plain test: cells around the zero can never certify, so the partition
-refines forever.  Shifting the tensor up by sigma times the all-ones
-tensor makes it strictly copositive, the shifted run terminates, and a
-certificate for the shifted tensor bounds the original form below by
--sigma on the whole simplex.
+refines forever.  ``DetectorConfig(sigma=...)`` accepts a cell whose
+Bernstein coefficients are all at least -sigma, which bounds the form
+below by -sigma on that cell; the run terminates, and a copositive
+verdict is reported as sigma-certified.  The vertex test is unchanged,
+so sigma never turns a negative vertex value into a certificate.
 """
 
 import numpy as np
 
 from coposim import (
     DetectorConfig,
-    check_boundary_zero_stall,
     choi_lam_tensor,
     detect,
-    detect_with_relaxation,
+    eta_shift,
     motzkin_tensor,
+    random_tensor,
     robinson_tensor,
+    spectral_radius,
+    verify_witness,
 )
 
 named = {
@@ -28,22 +31,21 @@ named = {
 
 # All three sextics are nonnegative on the orthant (none is a sum of
 # squares) and each vanishes at the uniform direction, so the plain
-# detector stalls on every one of them.
+# detector stalls on every one of them.  The smallest vertex value the
+# run saw hugs zero: the signature of such a stall.
 uniform = np.full(3, 1 / 3)
 for name, tensor in named.items():
     verdict = detect(tensor)
-    diagnostic = check_boundary_zero_stall(tensor, verdict)
     print(f"{name:<9} plain: {verdict.kind.value} at {verdict.iterations} iterations; "
           f"form at uniform = {tensor.form(uniform):.2e}; "
-          f"stall suspected = {diagnostic.stall_suspected}")
+          f"smallest vertex value = {verdict.min_vertex_value:.2e}")
 
 # The relaxed runs terminate quickly, with effort growing as sigma
 # tightens toward zero.
-budget = DetectorConfig(max_iterations=1000)
 for name, tensor in named.items():
     line = f"{name:<9}"
     for sigma in (0.01, 0.001, 0.0001):
-        verdict = detect_with_relaxation(tensor, sigma, budget)
+        verdict = detect(tensor, DetectorConfig(max_iterations=1000, sigma=sigma))
         label = verdict.to_json_dict()["verdict"]
         line += f"  sigma={sigma}: {label} in {verdict.iterations:>2} iterations"
     print(line)
@@ -53,7 +55,17 @@ for name, tensor in named.items():
 # the inputs are copositive).
 M = named["motzkin"]
 sigma = 0.001
-verdict = detect_with_relaxation(M, sigma, budget)
+verdict = detect(M, DetectorConfig(max_iterations=1000, sigma=sigma))
 rng = np.random.default_rng(1)
 low = min(M.form(x) for x in rng.dirichlet(np.ones(3), size=5000))
-print(f"certified at sigma={sigma}; smallest sampled form value = {low:.3e} >= {-sigma}")
+print(f"{verdict.to_json_dict()['verdict']} at sigma={sigma}; "
+      f"smallest sampled form value = {low:.3e} >= {-sigma}")
+
+# Sigma relaxes the certificate, never the refutation: just below the
+# spectral threshold a vertex value of about -1e-3 lies above -sigma, yet
+# it still refutes, with a witness that checks on the tensor itself.
+B = random_tensor(3, 3, 0)
+A = eta_shift(spectral_radius(B).rho - 0.01, B)
+verdict = detect(A, DetectorConfig(max_iterations=400, sigma=0.01))
+print(f"rho - 0.01 at sigma=0.01: {verdict.kind.value} in {verdict.iterations} iterations; "
+      f"f(witness) = {A.form(verdict.witness):.3e}, verified: {verify_witness(A, verdict.witness)}")

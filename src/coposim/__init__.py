@@ -11,16 +11,10 @@ standard test families.
 """
 
 from .detector import (
-    CellKind,
-    CellStatus,
     DetectorConfig,
-    StallDiagnostic,
     Verdict,
     VerdictKind,
-    certify_cell,
-    check_boundary_zero_stall,
     detect,
-    detect_with_relaxation,
     verify_witness,
 )
 from .instances import (
@@ -47,7 +41,6 @@ from .prescreen import (
 )
 from .simplex import (
     DegenerateCellError,
-    PartitionFrontier,
     Simplex,
     standard_simplex,
 )
@@ -61,28 +54,21 @@ from .tensor import SymmetricTensor, canonical_key, canonical_keys, multiplicity
 __version__ = "0.1.0"
 
 __all__ = [
-    "CellKind",
-    "CellStatus",
     "DegenerateCellError",
     "DetectorConfig",
     "Monomial",
-    "PartitionFrontier",
     "PowerIterationBudgetError",
     "PowerIterationResult",
     "PrescreenReport",
     "Simplex",
-    "StallDiagnostic",
     "SymmetricTensor",
     "Verdict",
     "VerdictKind",
     "barycentric_lattice",
     "canonical_key",
     "canonical_keys",
-    "certify_cell",
-    "check_boundary_zero_stall",
     "choi_lam_tensor",
     "detect",
-    "detect_with_relaxation",
     "diagonal_check",
     "eta_shift",
     "from_polynomial",

@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import instances
-from .detector import DetectorConfig, Verdict, VerdictKind, detect, detect_with_relaxation
+from .detector import DetectorConfig, Verdict, VerdictKind, detect
 from .prescreen import run_prescreen
 from .spectral import spectral_radius
 from .tensor import SymmetricTensor
@@ -161,6 +161,7 @@ def cmd_detect(args) -> int:
     cfg = DetectorConfig(
         max_iterations=args.max_iter,
         tolerance=args.tol,
+        sigma=args.sigma,
         min_diameter=args.min_diameter,
         keep_certificates=args.certificate,
     )
@@ -179,10 +180,7 @@ def cmd_detect(args) -> int:
                 witness=np.asarray(prescreen_report.witness, dtype=float),
             )
     if verdict is None:
-        if args.sigma > 0:
-            verdict = detect_with_relaxation(A, args.sigma, cfg)
-        else:
-            verdict = detect(A, cfg)
+        verdict = detect(A, cfg)
     record = {
         "input": descriptor,
         "config": {
@@ -201,9 +199,10 @@ def cmd_detect(args) -> int:
         }
     _emit(record, args.out)
     if verdict.kind is VerdictKind.UNDECIDED:
+        retry = "a larger --sigma or --max-iter" if args.sigma > 0 else "--sigma > 0"
         print(
             "undecided within budget; a zero of the form on the simplex is the usual "
-            "cause, retry with --sigma > 0",
+            f"cause, retry with {retry}",
             file=sys.stderr,
         )
     return _exit_code(verdict)
@@ -419,7 +418,7 @@ def build_parser() -> _Parser:
     p_detect.add_argument("--max-iter", type=_COUNT, default=100, dest="max_iter")
     p_detect.add_argument("--tol", type=_NONNEGATIVE, default=1e-12)
     p_detect.add_argument("--sigma", type=_NONNEGATIVE, default=0.0,
-                          help="certify up to this additive slack (runs on the shifted tensor)")
+                          help="certify the form down to -SIGMA; refutation is unchanged")
     p_detect.add_argument("--min-diameter", type=_NONNEGATIVE, default=0.0, dest="min_diameter")
     p_detect.add_argument("--no-prescreen", action="store_true", dest="no_prescreen")
     p_detect.add_argument("--certificate", action="store_true",

@@ -1,25 +1,32 @@
 """Branch-and-bound copositivity test over the standard simplex.
 
-Each cell of the evolving simplicial partition is classified by two checks:
-a vertex with a negative form value disproves copositivity outright, and a
-cell whose coefficient tensor (the congruence transform by the vertex
-matrix) is entrywise nonnegative is certified and dropped.  Unresolved
-cells are bisected at their longest edge, depth first.  An empty frontier
-certifies copositivity on the whole simplex; running out of budget returns
-an explicit undecided verdict.
+Each cell of the evolving simplicial partition carries its vertex values
+and its Bernstein coefficients: the coefficients of the form in the
+cell's barycentric coordinates.  The loop tests the vertex values first:
+one below ``-tau`` disproves copositivity, and that vertex is the
+witness.  Otherwise a smallest coefficient of at least ``-sigma - tau``
+certifies the cell, which is then dropped.  Any other cell is bisected at
+its longest edge, depth first.  An empty frontier certifies copositivity
+on the whole simplex; running out of budget returns an explicit undecided
+verdict.
 
-The search carries each cell's coefficients (its Bernstein coefficients)
-and vertex values with it.  A child's coefficients come from its parent's
-by midpoint subdivision, and it inherits all vertex values but the
-midpoint's, so a bisection costs one form evaluation and no dense
-congruence.  :func:`certify_cell` classifies a single cell from scratch by
-the same rule.
+A child's coefficients come from its parent's by midpoint subdivision,
+and it inherits all vertex values but the midpoint's, so a bisection
+costs one form evaluation and no dense contraction.
 
 All sign decisions go through a single tolerance ``tau``: "negative" means
 below ``-tau``, "nonnegative" means at least ``-tau``.  With the cellwise
 slack ``sigma`` at zero a copositive verdict is exact up to ``tau``; with
 ``sigma`` positive it certifies the form to stay above ``-sigma`` on the
-simplex.
+simplex and is reported as sigma-certified.
+
+``sigma`` relaxes the certificate and never the refutation.  Running the
+plain test on the shifted tensor ``A + sigma * E`` (``E`` all ones) gives
+the same certificates, because every Bernstein coefficient of ``E`` on a
+cell of the standard simplex is one, but it refutes only at a vertex with
+``f(v) < -sigma - tau``.  This test refutes at any vertex with
+``f(v) < -tau``, so it refutes sooner or where the shifted run would not,
+and ``min_vertex_value`` is the smallest vertex value of ``A`` itself.
 """
 
 from __future__ import annotations
@@ -27,26 +34,18 @@ from __future__ import annotations
 import enum
 import math
 import time
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
-from .instances import ones_tensor
-from .simplex import PartitionFrontier, Simplex, standard_simplex
-from .tensor import SymmetricTensor, split_coefficients
+from .simplex import Simplex, standard_simplex
+from .tensor import SymmetricTensor, integer, split_coefficients
 
 __all__ = [
-    "CellKind",
-    "CellStatus",
     "DetectorConfig",
-    "StallDiagnostic",
     "Verdict",
     "VerdictKind",
-    "certify_cell",
-    "check_boundary_zero_stall",
     "detect",
-    "detect_with_relaxation",
     "verify_witness",
 ]
 
@@ -69,38 +68,18 @@ class DetectorConfig:
     keep_certificates: bool = False
 
     def __post_init__(self):
-        if int(self.max_iterations) < 1:
+        if integer(self.max_iterations, "max_iterations") < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         for name in ("tolerance", "sigma", "min_diameter"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
 class VerdictKind(enum.Enum):
     COPOSITIVE = "copositive"
     NOT_COPOSITIVE = "not_copositive"
     UNDECIDED = "undecided"
-
-
-class CellKind(enum.Enum):
-    NEGATIVE_VERTEX = "negative_vertex"
-    CERTIFIED = "certified"
-    INDETERMINATE = "indeterminate"
-
-
-@dataclass(frozen=True)
-class CellStatus:
-    """Outcome of the vertex and coefficient checks on one cell.
-
-    ``vertex_index`` and ``vertex_value`` identify the offending vertex for
-    a negative-vertex outcome; ``vertex_values`` always holds the form
-    value at every vertex, in vertex-list order.
-    """
-
-    kind: CellKind
-    vertex_index: int | None = None
-    vertex_value: float | None = None
-    vertex_values: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +90,9 @@ class Verdict:
     nonnegative unit-sum vector whose form value is below ``-tolerance``.
     ``certified_cells`` is retained only on request.  ``min_vertex_value``
     tracks the smallest form value seen at any processed vertex (infinity
-    if the run aborted before evaluating one).
+    if the run aborted before evaluating one); on an undecided run, a value
+    near zero points at a zero of the form on the simplex, which a positive
+    ``sigma`` gets past.
     """
 
     kind: VerdictKind
@@ -119,19 +100,20 @@ class Verdict:
     max_depth: int
     sigma: float
     tolerance: float
-    sigma_certified: bool = False
     witness: np.ndarray | None = None
     certified_cells: tuple[Simplex, ...] | None = None
     min_vertex_value: float = math.inf
     elapsed: float = 0.0
 
+    @property
+    def sigma_certified(self) -> bool:
+        """A copositive verdict reached with ``sigma > 0``: the form stays
+        above ``-sigma`` on the simplex, which is all it proves."""
+        return self.kind is VerdictKind.COPOSITIVE and self.sigma > 0
+
     def to_json_dict(self) -> dict:
-        if self.kind is VerdictKind.COPOSITIVE and self.sigma_certified:
-            label = "sigma_certified"
-        else:
-            label = self.kind.value
         return {
-            "verdict": label,
+            "verdict": "sigma_certified" if self.sigma_certified else self.kind.value,
             "sigma": float(self.sigma),
             "tolerance": float(self.tolerance),
             "iterations": int(self.iterations),
@@ -143,55 +125,13 @@ class Verdict:
         }
 
 
-def _classify(
-    values: tuple[float, ...], lowest_coefficient: Callable[[], float], sigma: float, tau: float
-) -> CellStatus:
-    """The cell test shared by :func:`certify_cell` and :func:`detect`.
-
-    Vertex values are scanned in list order: one below ``-tau`` settles the
-    cell as a negative vertex.  Otherwise ``lowest_coefficient()``, the
-    smallest coefficient of the cell (implicit zeros included), certifies
-    the cell when it is at least ``-sigma - tau``.
-    """
-    for i, value in enumerate(values):
-        if value < -tau:
-            return CellStatus(
-                CellKind.NEGATIVE_VERTEX,
-                vertex_index=i,
-                vertex_value=value,
-                vertex_values=values,
-            )
-    if lowest_coefficient() >= -sigma - tau:
-        return CellStatus(CellKind.CERTIFIED, vertex_values=values)
-    return CellStatus(CellKind.INDETERMINATE, vertex_values=values)
-
-
-def certify_cell(
-    A: SymmetricTensor, S: Simplex, sigma: float = 0.0, tau: float = 1e-12
-) -> CellStatus:
-    """Classify one cell.
-
-    Vertices are scanned first, in list order: a form value below ``-tau``
-    settles the cell as a negative vertex.  Otherwise the cell is certified
-    when every coefficient of the congruence transform by the vertex matrix
-    is at least ``-sigma - tau`` (which bounds the form below by ``-sigma``
-    on the whole cell), and indeterminate when neither test fires.  The
-    coefficients are computed afresh by :meth:`SymmetricTensor.congruence`.
-    """
-    if S.dim != A.dim:
-        raise ValueError(f"cell dimension {S.dim} does not match tensor dim {A.dim}")
-    values = tuple(A.form(u) for u in S.vertices)
-    return _classify(
-        values, lambda: A.congruence(S.vertex_matrix).min_coefficient(), sigma, tau
-    )
-
-
 def detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdict:
     """Decide copositivity of ``A`` within the configured budget.
 
     Deterministic by construction: cells are processed depth first, the
-    longest-edge tie-break is lexicographic, and after a bisection the
-    child that replaced the later edge endpoint is processed next.
+    longest-edge tie-break is lexicographic, a cell's vertices are tested
+    in list order, and after a bisection the child that replaced the later
+    edge endpoint is processed next.
     """
     if cfg is None:
         cfg = DetectorConfig()
@@ -200,11 +140,13 @@ def detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdict:
 
     start = time.perf_counter()
     m, n = A.order, A.dim
+    tau = cfg.tolerance
+    floor = -cfg.sigma - tau
     root = standard_simplex(n)
-    # Each frontier entry is (simplex, Bernstein coefficients, vertex values).
-    # The root's coefficients are A's entries: the congruence by I is exact.
-    frontier = PartitionFrontier()
-    frontier.push((root, A.coefficient_vector(), tuple(A.form(u) for u in root.vertices)), 0)
+    # Frontier entries are (cell, Bernstein coefficients, vertex values,
+    # depth), popped last in first out.  The root's coefficients are A's
+    # entries: its barycentric coordinates are the coordinates themselves.
+    frontier = [(root, A.coefficient_vector(), tuple(A.form(u) for u in root.vertices), 0)]
     iterations = 0
     max_depth = 0
     min_vertex = math.inf
@@ -225,58 +167,33 @@ def detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdict:
     while frontier:
         if iterations >= cfg.max_iterations:
             return verdict(VerdictKind.UNDECIDED)
-        (cell, coefficients, values), depth = frontier.pop()
+        cell, coefficients, values, depth = frontier.pop()
         iterations += 1
         if cfg.min_diameter > 0.0 and cell.diameter() < cfg.min_diameter:
             return verdict(VerdictKind.UNDECIDED)
-        status = _classify(values, coefficients.min, cfg.sigma, cfg.tolerance)
-        min_vertex = min(min_vertex, *values)
-        if status.kind is CellKind.NEGATIVE_VERTEX:
-            witness = np.array(cell.vertices[status.vertex_index])
-            return verdict(VerdictKind.NOT_COPOSITIVE, witness=witness)
-        if status.kind is CellKind.CERTIFIED:
+        lowest = min(values)
+        min_vertex = min(min_vertex, lowest)
+        if lowest < -tau:
+            i = next(i for i, value in enumerate(values) if value < -tau)
+            return verdict(VerdictKind.NOT_COPOSITIVE, witness=np.array(cell.vertices[i]))
+        if coefficients.min() >= floor:
             if certified is not None:
                 certified.append(cell)
             continue
         p, q = cell.longest_edge()
         first, second = cell.bisect_longest_edge()
         # Vertex values are never read off the coefficients: the midpoint
-        # gets an exact form evaluation, the same one certify_cell would make.
+        # gets an exact form evaluation.
         mid = A.form(first.vertices[p])
         for child, moved, kept in ((first, p, q), (second, q, p)):
             child_values = values[:moved] + (mid,) + values[moved + 1 :]
             child_coefficients = split_coefficients(coefficients, m, n, moved, kept)
-            frontier.push((child, child_coefficients, child_values), depth + 1)
+            frontier.append((child, child_coefficients, child_values, depth + 1))
         max_depth = max(max_depth, depth + 1)
     return verdict(
         VerdictKind.COPOSITIVE,
         certified_cells=None if certified is None else tuple(certified),
     )
-
-
-def detect_with_relaxation(
-    A: SymmetricTensor, sigma: float, cfg: DetectorConfig | None = None
-) -> Verdict:
-    """Run detection on ``A`` shifted up by ``sigma`` times the all-ones
-    tensor.
-
-    The shifted tensor is strictly copositive whenever ``A`` is copositive,
-    so the run terminates on inputs where the plain test refines forever.
-    A copositive verdict certifies the form of ``A`` to stay above
-    ``-sigma`` on the simplex (reported with ``sigma_certified`` set); a
-    negative witness for the shifted tensor is an even stronger witness for
-    ``A`` itself and is returned unchanged.
-    """
-    sigma = float(sigma)
-    if sigma <= 0:
-        raise ValueError(f"relaxation offset must be positive, got {sigma}")
-    if cfg is None:
-        cfg = DetectorConfig()
-    shifted = A + sigma * ones_tensor(A.order, A.dim)
-    result = detect(shifted, cfg)
-    if result.kind is VerdictKind.COPOSITIVE:
-        return replace(result, sigma=sigma, sigma_certified=True)
-    return replace(result, sigma=sigma)
 
 
 def verify_witness(A: SymmetricTensor, x, tau: float = 1e-12) -> bool:
@@ -291,36 +208,3 @@ def verify_witness(A: SymmetricTensor, x, tau: float = 1e-12) -> bool:
     if abs(float(x.sum()) - 1.0) > tau:
         return False
     return A.form(x) < -tau
-
-
-@dataclass(frozen=True)
-class StallDiagnostic:
-    """Post-mortem for an undecided run: a vertex-value minimum that hugged
-    zero points at an input that is copositive but not strictly so, for
-    which the relaxed test terminates."""
-
-    applicable: bool
-    min_vertex_value: float | None = None
-    stall_suspected: bool = False
-
-
-def check_boundary_zero_stall(
-    A: SymmetricTensor, verdict: Verdict, zero_window: float = 1e-6
-) -> StallDiagnostic:
-    """Inspect an undecided verdict for the refine-forever signature.
-
-    Reports the minimum form value over all vertices the run generated;
-    a minimum within ``zero_window * (1 + ||A||)`` of zero suggests a zero
-    of the form on the simplex and hence retrying with a positive
-    relaxation offset.  Not applicable to decided verdicts.
-    """
-    if verdict.kind is not VerdictKind.UNDECIDED:
-        return StallDiagnostic(applicable=False)
-    if math.isinf(verdict.min_vertex_value):
-        return StallDiagnostic(applicable=True, min_vertex_value=None)
-    suspected = verdict.min_vertex_value <= zero_window * (1.0 + A.norm())
-    return StallDiagnostic(
-        applicable=True,
-        min_vertex_value=verdict.min_vertex_value,
-        stall_suspected=bool(suspected),
-    )

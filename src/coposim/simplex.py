@@ -10,13 +10,10 @@ with disjoint interiors) and halves the vertex-matrix determinant.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
-
 import numpy as np
 
 __all__ = [
     "DegenerateCellError",
-    "PartitionFrontier",
     "Simplex",
     "standard_simplex",
 ]
@@ -70,11 +67,6 @@ class Simplex:
         """Read-only array with one vertex per row."""
         return self._vertices
 
-    @property
-    def vertex_matrix(self) -> np.ndarray:
-        """Matrix whose columns are the vertices, in list order."""
-        return self._vertices.T
-
     def __repr__(self) -> str:
         return f"Simplex({self._vertices.tolist()})"
 
@@ -119,17 +111,6 @@ class Simplex:
         second[q] = v
         return Simplex(first, validate=False), Simplex(second, validate=False)
 
-    def barycentric_coordinates(self, x) -> np.ndarray:
-        """Coefficients expressing ``x`` over the vertices (they sum to one
-        whenever ``x`` has coordinate-sum one)."""
-        x = np.asarray(x, dtype=float)
-        return np.linalg.solve(self.vertex_matrix, x)
-
-    def contains(self, x, tol: float = 1e-12) -> bool:
-        """Membership up to a boundary tolerance on the barycentric
-        coordinates."""
-        return bool(np.all(self.barycentric_coordinates(x) >= -tol))
-
 
 def standard_simplex(n: int) -> Simplex:
     """The cell spanned by the unit coordinate vectors, in index order."""
@@ -137,42 +118,3 @@ def standard_simplex(n: int) -> Simplex:
     if n < 2:
         raise ValueError(f"need dimension >= 2, got {n}")
     return Simplex(np.eye(n), validate=False)
-
-
-class PartitionFrontier:
-    """LIFO stack of unresolved cells, each tagged with its refinement depth.
-
-    Only bisections feed it: together with the certified cells the frontier
-    always covers the standard simplex with pairwise disjoint interiors.
-    The detector pushes one record per cell, the simplex first and the
-    data it carries after it; :meth:`cells` and :meth:`max_diameter` expect
-    bare simplices.
-    """
-
-    __slots__ = ("_items",)
-
-    def __init__(self, items: Iterable[tuple[object, int]] = ()):
-        self._items: list[tuple[object, int]] = list(items)
-
-    def push(self, cell: object, depth: int = 0) -> None:
-        self._items.append((cell, int(depth)))
-
-    def pop(self) -> tuple[object, int]:
-        """Most recently pushed cell and its depth; IndexError when empty."""
-        return self._items.pop()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __bool__(self) -> bool:
-        return bool(self._items)
-
-    def __iter__(self) -> Iterator[tuple[object, int]]:
-        return iter(self._items)
-
-    def cells(self) -> list[Simplex]:
-        return [cell for cell, _ in self._items]
-
-    def max_diameter(self) -> float:
-        """Largest cell diameter currently on the frontier (0 when empty)."""
-        return max((cell.diameter() for cell, _ in self._items), default=0.0)

@@ -1,4 +1,4 @@
-"""Symmetric tensors stored by canonical multi-index, plus the multilinear
+"""Symmetric tensors stored by canonical multi-index, plus the form
 evaluations everything else builds on.
 
 An order-``m``, dimension-``n`` symmetric tensor keeps one coefficient per
@@ -95,6 +95,23 @@ def _multiplicities(positions: np.ndarray) -> np.ndarray:
     return (math.factorial(m) // np.prod(counts, axis=1)).astype(float)
 
 
+def _weights_finite(entries: Mapping[tuple[int, ...], float], order: int, dim: int) -> bool:
+    """Whether ``sum(multiplicity(key) * |value|)`` is a finite float.  The
+    multiplicities add up to ``dim ** order``, so a finite
+    ``max|value| * dim ** order`` settles it at once; only when that bound
+    overflows are the keys summed one by one."""
+    largest = max(map(abs, entries.values()), default=0.0)
+    try:
+        if largest * float(dim) ** order < math.inf:
+            return True
+    except OverflowError:
+        pass
+    try:
+        return math.fsum(multiplicity(key) * abs(value) for key, value in entries.items()) < math.inf
+    except OverflowError:
+        return False
+
+
 class SymmetricTensor:
     """Immutable symmetric tensor in canonical sparse storage.
 
@@ -109,10 +126,12 @@ class SymmetricTensor:
         Multi-indices may arrive in any order and are canonicalized; two
         entries that collide on the same canonical key are rejected.
         Exact zeros are dropped; absent keys read as zero.  NaN and
-        infinite values are rejected.
+        infinite values are rejected, and so are entries whose weighted
+        sum ``sum(multiplicity(key) * |value|)`` is not a finite float,
+        since every term of a form value on the simplex is bounded by it.
     """
 
-    __slots__ = ("_order", "_dim", "_entries", "_dense", "_terms", "_gradient")
+    __slots__ = ("_order", "_dim", "_entries", "_terms", "_gradient")
 
     def __init__(self, order, dim, entries=None):
         order = integer(order, "order")
@@ -134,10 +153,14 @@ class SymmetricTensor:
                     raise ValueError(f"entry {key} is not finite: {value}")
                 if value != 0.0:
                     canonical[key] = value
+        if not _weights_finite(canonical, order, dim):
+            raise ValueError(
+                "entries too large: the sum of multiplicity * |entry| over all "
+                "keys is not a finite float"
+            )
         self._order = order
         self._dim = dim
         self._entries = dict(sorted(canonical.items()))
-        self._dense = None
         self._terms = None
         self._gradient = None
 
@@ -303,46 +326,6 @@ class SymmetricTensor:
         terms = self._terms_at(columns, weights, x)
         return np.array([math.fsum(terms[a:b]) for a, b in zip(bounds, bounds[1:])])
 
-    def mixed_form(self, x, k: int, y) -> float:
-        """Partial contraction with ``k`` slots filled by ``x`` and the
-        remaining ``m - k`` by ``y``."""
-        m = self._order
-        k = int(k)
-        if not 0 <= k <= m:
-            raise ValueError(f"k must lie in 0..{m}, got {k}")
-        x = self._check_vector(x)
-        y = self._check_vector(y)
-        fact_k = math.factorial(k)
-        fact_r = math.factorial(m - k)
-        total: list[float] = []
-        for key, value in self._entries.items():
-            support = [(i, len(list(group))) for i, group in itertools.groupby(key)]
-            counts = [c for _, c in support]
-            for split in itertools.product(*(range(c + 1) for c in counts)):
-                if sum(split) != k:
-                    continue
-                ways_x = fact_k
-                ways_y = fact_r
-                term = value
-                for (i, c), p in zip(support, split):
-                    ways_x //= math.factorial(p)
-                    ways_y //= math.factorial(c - p)
-                    term *= x[i - 1] ** p * y[i - 1] ** (c - p)
-                total.append(term * ways_x * ways_y)
-        return math.fsum(total)
-
-    def multilinear(self, factors) -> float:
-        """Inner product against the rank-one tensor built from ``factors``
-        (one vector per slot); invariant under permuting the factors."""
-        vs = [self._check_vector(f) for f in factors]
-        if len(vs) != self._order:
-            raise ValueError(f"expected {self._order} factors, got {len(vs)}")
-        total: list[float] = []
-        for key, value in self._entries.items():
-            for perm in set(itertools.permutations(key)):
-                total.append(value * math.prod(v[i - 1] for v, i in zip(vs, perm)))
-        return math.fsum(total)
-
     def inner(self, other: "SymmetricTensor") -> float:
         """Entrywise inner product over the full dense index space
         (multiplicities counted)."""
@@ -362,63 +345,6 @@ class SymmetricTensor:
         return np.array(
             [self._entries.get(key, 0.0) for key in canonical_keys(self._order, self._dim)]
         )
-
-    def min_coefficient(self) -> float:
-        """Smallest coefficient over all canonical multi-indices, implicit
-        zeros included."""
-        stored = min(self._entries.values(), default=0.0)
-        if self.nnz < math.comb(self._dim + self._order - 1, self._order):
-            return min(stored, 0.0)
-        return stored
-
-    # -- structural operations --------------------------------------------------
-
-    def principal_subtensor(self, J) -> "SymmetricTensor":
-        """Restriction to the index subset ``J`` (1-based), relabeled to
-        ``1..len(J)`` in increasing order of the original indices."""
-        J = sorted({int(j) for j in J})
-        if not J:
-            raise ValueError("index subset must be nonempty")
-        if J[0] < 1 or J[-1] > self._dim:
-            raise ValueError(f"index subset {J} out of range 1..{self._dim}")
-        relabel = {j: t + 1 for t, j in enumerate(J)}
-        keep = set(J)
-        entries = {
-            tuple(relabel[i] for i in key): value
-            for key, value in self._entries.items()
-            if keep.issuperset(key)
-        }
-        return SymmetricTensor(self._order, len(J), entries)
-
-    def congruence(self, V) -> "SymmetricTensor":
-        """Coefficients of the form in the coordinates spanned by the columns
-        of ``V``: entry ``(i_1 .. i_m)`` equals the multilinear value against
-        columns ``i_1, ..., i_m``.  Satisfies
-        ``congruence(V).form(lam) == form(V @ lam)``.  Computed from scratch
-        with a dense contraction; the detector derives the same coefficients
-        by :func:`split_coefficients`, and this is the reference for them."""
-        V = np.asarray(V, dtype=float)
-        if V.shape != (self._dim, self._dim):
-            raise ValueError(f"expected a {self._dim}x{self._dim} matrix, got {V.shape}")
-        dense = self.to_dense()
-        for _ in range(self._order):
-            dense = np.tensordot(dense, V, axes=([0], [0]))
-        entries = {
-            key: dense[tuple(i - 1 for i in key)]
-            for key in canonical_keys(self._order, self._dim)
-        }
-        return SymmetricTensor(self._order, self._dim, entries)
-
-    def to_dense(self) -> np.ndarray:
-        """Dense read-only array of shape ``(n,) * m`` (cached)."""
-        if self._dense is None:
-            dense = np.zeros((self._dim,) * self._order)
-            for key, value in self._entries.items():
-                for perm in set(itertools.permutations(key)):
-                    dense[tuple(i - 1 for i in perm)] = value
-            dense.setflags(write=False)
-            self._dense = dense
-        return self._dense
 
     # -- interchange format -----------------------------------------------------
 

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from coposim import SymmetricTensor, barycentric_lattice, canonical_keys, multiplicity
+from coposim import Simplex, SymmetricTensor, barycentric_lattice, canonical_keys, multiplicity
 from coposim.prescreen import DIAGONAL, SUBTENSOR_SAMPLE, PrescreenReport
 
 
@@ -78,11 +78,55 @@ def loop_gradient(A: SymmetricTensor, x) -> np.ndarray:
     return np.array([math.fsum(t) for t in terms])
 
 
+def _tensor_of_dense(dense: np.ndarray) -> SymmetricTensor:
+    """The symmetric tensor whose canonical entries are read off ``dense``."""
+    m, n = dense.ndim, dense.shape[0]
+    return SymmetricTensor(
+        m, n, {key: dense[tuple(i - 1 for i in key)] for key in canonical_keys(m, n)}
+    )
+
+
+def congruence(dense: np.ndarray, V) -> SymmetricTensor:
+    """Coefficients of the form in the coordinates spanned by the columns
+    of ``V``: entry ``(i_1 .. i_m)`` is the dense contraction against
+    columns ``i_1, ..., i_m``, so ``congruence(dense, V).form(lam)`` equals
+    the form at ``V @ lam``.  For the vertex matrix of a cell these are the
+    cell's Bernstein coefficients."""
+    V = np.asarray(V, dtype=float)
+    if V.shape != (dense.shape[0],) * 2:
+        raise ValueError(f"expected a square matrix of size {dense.shape[0]}, got {V.shape}")
+    for _ in range(dense.ndim):
+        dense = np.tensordot(dense, V, axes=([0], [0]))
+    return _tensor_of_dense(dense)
+
+
+def principal_subtensor(dense: np.ndarray, J) -> SymmetricTensor:
+    """Restriction to the index subset ``J`` (1-based), relabeled to
+    ``1..len(J)`` in increasing order of the original indices."""
+    J = sorted(set(J))
+    if not J or J[0] < 1 or J[-1] > dense.shape[0]:
+        raise ValueError(f"index subset {J} is empty or out of range 1..{dense.shape[0]}")
+    rows = np.array(J) - 1
+    return _tensor_of_dense(dense[np.ix_(*[rows] * dense.ndim)])
+
+
+def barycentric_coordinates(S: Simplex, x) -> np.ndarray:
+    """Coefficients expressing ``x`` over the vertices of ``S`` (they sum
+    to one whenever ``x`` has coordinate-sum one)."""
+    return np.linalg.solve(S.vertices.T, np.asarray(x, dtype=float))
+
+
+def contains(S: Simplex, x, tol: float = 1e-12) -> bool:
+    """Membership up to a boundary tolerance on the barycentric
+    coordinates."""
+    return bool(np.all(barycentric_coordinates(S, x) >= -tol))
+
+
 def subtensor_prescreen(A: SymmetricTensor, grid_depth: int = 2,
                         tau: float = 1e-12) -> PrescreenReport:
     """The prescreen battery as it was first written: diagonal entries, then
     every singleton and pair ``J``, each sampled on a freshly built
-    ``A.principal_subtensor(J)`` over the interior lattice of denominator
+    principal subtensor over the interior lattice of denominator
     ``grid_depth + len(J) - 1``, a negative sample embedded back with zeros
     off ``J``."""
     n = A.dim
@@ -91,8 +135,9 @@ def subtensor_prescreen(A: SymmetricTensor, grid_depth: int = 2,
             return PrescreenReport(False, violated_condition=DIAGONAL,
                                    witness=np.eye(n)[i - 1])
     subsets = [(i,) for i in range(1, n + 1)] + list(itertools.combinations(range(1, n + 1), 2))
+    dense = dense_of(A)
     for J in subsets:
-        sub = A.principal_subtensor(J)
+        sub = principal_subtensor(dense, J)
         for x in barycentric_lattice(len(J), grid_depth + len(J) - 1, interior=True):
             if sub.form(x) < -tau:
                 witness = np.zeros(n)

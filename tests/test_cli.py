@@ -91,7 +91,15 @@ def test_detect_undecided_suggests_relaxation(capsys):
     )
     assert code == EXIT_UNDECIDED
     assert json.loads(out)["verdict"]["verdict"] == "undecided"
-    assert "--sigma" in err
+    assert "--sigma > 0" in err
+
+
+def test_detect_undecided_with_sigma_suggests_a_larger_budget(capsys):
+    code, out, err = run(capsys, "detect", "--gen", "motzkin", "--sigma", "1e-4", "--max-iter", "10")
+    assert code == EXIT_UNDECIDED
+    assert json.loads(out)["verdict"]["verdict"] == "undecided"
+    assert "--sigma > 0" not in err
+    assert "a larger --sigma or --max-iter" in err
 
 
 def test_detect_sigma_relaxation(capsys):
@@ -259,6 +267,18 @@ def test_detect_rejects_nonfinite_entries(capsys, tmp_path, value):
     code, out, err = run(capsys, "detect", str(path))
     assert code == EXIT_DATA
     assert out == "" and "not finite" in err
+
+
+def test_detect_rejects_overflowing_weights(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"order": 3, "dim": 2, "entries": [{"idx": [1, 1, 1], "val": 1}, '
+        '{"idx": [2, 2, 2], "val": 1}, {"idx": [1, 1, 2], "val": 1e308}, '
+        '{"idx": [1, 2, 2], "val": -1e308}]}'
+    )
+    code, out, err = run(capsys, "detect", str(path))
+    assert code == EXIT_DATA
+    assert out == "" and "too large" in err
 
 
 def test_spectral_rejects_negative_tensor(capsys):

@@ -1,71 +1,66 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from coposim import (
-    CellKind,
     DetectorConfig,
     SymmetricTensor,
     VerdictKind,
-    certify_cell,
-    check_boundary_zero_stall,
     detect,
-    detect_with_relaxation,
     eta_shift,
     motzkin_tensor,
     ones_tensor,
     random_tensor,
     spectral_radius,
-    standard_simplex,
     verify_witness,
 )
+from coposim.cli import main
 
-from _brute import random_simplex_point, random_symmetric
+from _brute import congruence, contains, dense_of, random_simplex_point, random_symmetric
 
 
 def test_config_validation():
     DetectorConfig()
-    with pytest.raises(ValueError):
-        DetectorConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        DetectorConfig(tolerance=-1e-9)
-    with pytest.raises(ValueError):
-        DetectorConfig(sigma=-0.1)
-    with pytest.raises(ValueError):
-        DetectorConfig(min_diameter=-1.0)
+    DetectorConfig(max_iterations=5.0)
+    for bad in (0, 2.5, True, "10"):
+        with pytest.raises(ValueError):
+            DetectorConfig(max_iterations=bad)
+    for name in ("tolerance", "sigma", "min_diameter"):
+        for bad in (-1e-9, math.nan, math.inf):
+            with pytest.raises(ValueError, match=name):
+                DetectorConfig(**{name: bad})
 
 
 def test_certify_nonnegative_tensor_on_standard_simplex():
     rng = np.random.default_rng(3)
     A = random_symmetric(rng, 3, 3, lo=0.0, hi=1.0)
-    status = certify_cell(A, standard_simplex(3))
-    assert status.kind is CellKind.CERTIFIED
-    assert len(status.vertex_values) == 3
+    verdict = detect(A, DetectorConfig(keep_certificates=True))
+    assert verdict.kind is VerdictKind.COPOSITIVE and verdict.iterations == 1
+    assert np.array_equal(verdict.certified_cells[0].vertices, np.eye(3))
 
 
 def test_certify_negative_vertex():
+    # The root's vertex values are all 0 and its coefficients mixed, so it
+    # is bisected; the child {e1, midpoint, e3} is popped next and its
+    # second vertex, at -0.75, is the witness.
     A = eta_shift(1.0, ones_tensor(3, 3))
-    cell = standard_simplex(3).bisect_longest_edge()[1]  # {e1, midpoint, e3}
-    status = certify_cell(A, cell)
-    assert status.kind is CellKind.NEGATIVE_VERTEX
-    assert status.vertex_index == 1
-    assert status.vertex_value == pytest.approx(-0.75)
+    verdict = detect(A)
+    assert verdict.kind is VerdictKind.NOT_COPOSITIVE and verdict.iterations == 2
+    assert np.array_equal(verdict.witness, [0.5, 0.5, 0.0])
+    assert verdict.min_vertex_value == pytest.approx(-0.75)
 
 
 def test_certify_indeterminate():
     A = eta_shift(19.0, ones_tensor(3, 3))
-    status = certify_cell(A, standard_simplex(3))
-    assert status.kind is CellKind.INDETERMINATE
-    assert status.vertex_values == pytest.approx((18.0, 18.0, 18.0))
+    verdict = detect(A, DetectorConfig(max_iterations=1))
+    assert verdict.kind is VerdictKind.UNDECIDED
+    assert verdict.min_vertex_value == pytest.approx(18.0)
     # a large enough cellwise slack flips the same cell to certified
-    relaxed = certify_cell(A, standard_simplex(3), sigma=1.5)
-    assert relaxed.kind is CellKind.CERTIFIED
-
-
-def test_certify_dimension_mismatch():
-    with pytest.raises(ValueError):
-        certify_cell(ones_tensor(3, 3), standard_simplex(4))
+    relaxed = detect(A, DetectorConfig(max_iterations=1, sigma=1.5))
+    assert relaxed.kind is VerdictKind.COPOSITIVE and relaxed.iterations == 1
+    assert relaxed.sigma_certified
 
 
 def test_detect_eta_one_trace():
@@ -96,35 +91,29 @@ def test_detect_reference_family_verdicts():
 
 
 def test_detect_boundary_case_is_undecided():
-    A = eta_shift(9.0, ones_tensor(3, 3))
-    verdict = detect(A)
+    verdict = detect(eta_shift(9.0, ones_tensor(3, 3)))
     assert verdict.kind is VerdictKind.UNDECIDED
     assert verdict.iterations == 100
-    diagnostic = check_boundary_zero_stall(A, verdict)
-    assert diagnostic.applicable
-    assert diagnostic.stall_suspected
-    assert abs(diagnostic.min_vertex_value) < 1e-6
+    # the stall signature: the smallest vertex value hugs zero
+    assert abs(verdict.min_vertex_value) < 1e-6
 
 
 def test_stall_diagnostic_not_applicable_when_decided():
-    A = eta_shift(19.0, ones_tensor(3, 3))
-    verdict = detect(A)
-    assert verdict.kind is VerdictKind.COPOSITIVE
-    assert not check_boundary_zero_stall(A, verdict).applicable
-    negative = -1.0 * ones_tensor(3, 3)
-    refuted = detect(negative)
+    certified = detect(eta_shift(19.0, ones_tensor(3, 3)))
+    assert certified.kind is VerdictKind.COPOSITIVE
+    # far from zero: the form of 19 I - E is at least 19/9 - 1 on the simplex
+    assert certified.min_vertex_value == 63 / 32
+    refuted = detect(-1.0 * ones_tensor(3, 3))
     assert refuted.kind is VerdictKind.NOT_COPOSITIVE
     assert refuted.iterations == 1
-    assert not check_boundary_zero_stall(negative, refuted).applicable
+    assert refuted.min_vertex_value == -1.0
 
 
 def test_stall_diagnostic_ignores_budget_starvation_far_from_zero():
-    A = eta_shift(19.0, ones_tensor(3, 3))
-    verdict = detect(A, DetectorConfig(max_iterations=2))
+    verdict = detect(eta_shift(19.0, ones_tensor(3, 3)), DetectorConfig(max_iterations=2))
     assert verdict.kind is VerdictKind.UNDECIDED
-    diagnostic = check_boundary_zero_stall(A, verdict)
-    assert diagnostic.applicable
-    assert not diagnostic.stall_suspected
+    # the first midpoint, at 19/4 - 1, is the smallest vertex value seen
+    assert verdict.min_vertex_value == 3.75
 
 
 def test_min_diameter_cutoff():
@@ -173,15 +162,16 @@ def test_certificate_retention_and_recheck():
     assert verdict.kind is VerdictKind.COPOSITIVE
     cells = verdict.certified_cells
     assert cells and len(cells) <= verdict.iterations
-    # every retained cell re-certifies from its vertex matrix alone
+    # every retained cell re-certifies from its vertices alone
+    dense = dense_of(A)
     for cell in cells:
-        coefficients = A.congruence(cell.vertex_matrix)
-        assert coefficients.min_coefficient() >= -cfg.sigma - cfg.tolerance
+        coefficients = congruence(dense, cell.vertices.T).coefficient_vector()
+        assert coefficients.min() >= -cfg.sigma - cfg.tolerance
     # and together the certified cells cover the simplex
     rng = np.random.default_rng(13)
     for _ in range(100):
         x = random_simplex_point(rng, 3)
-        assert any(cell.contains(x, tol=1e-9) for cell in cells)
+        assert any(contains(cell, x, tol=1e-9) for cell in cells)
     # retention off by default
     assert detect(A).certified_cells is None
 
@@ -190,33 +180,51 @@ def test_relaxation_certifies_motzkin():
     M = motzkin_tensor()
     plain = detect(M)
     assert plain.kind is VerdictKind.UNDECIDED
-    verdict = detect_with_relaxation(M, 0.01, DetectorConfig(max_iterations=1000))
+    assert not plain.sigma_certified
+    verdict = detect(M, DetectorConfig(max_iterations=1000, sigma=0.01))
     assert verdict.kind is VerdictKind.COPOSITIVE
     assert verdict.sigma_certified
     assert verdict.sigma == 0.01
     assert verdict.to_json_dict()["verdict"] == "sigma_certified"
 
 
+def test_sigma_labels_match_the_cli_record(capsys):
+    # A copositive verdict reached with sigma > 0 proves only f >= -sigma,
+    # so its label says so, in process and on the command line alike.
+    verdict = detect(motzkin_tensor(), DetectorConfig(sigma=1e-3))
+    assert verdict.to_json_dict()["verdict"] == "sigma_certified"
+    assert main(["detect", "--gen", "motzkin", "--sigma", "1e-3"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == verdict.to_json_dict()
+
+
+def test_sigma_relaxes_the_certificate_not_the_refutation():
+    # A vertex at f = -9.96e-4 refutes A even though it lies above -sigma;
+    # A + sigma * E, whose vertex there sits at +9.0e-3, certified in 51
+    # cells instead.
+    B = random_tensor(3, 3, 0)
+    A = eta_shift(spectral_radius(B).rho - 0.01, B)
+    verdict = detect(A, DetectorConfig(max_iterations=400, sigma=0.01))
+    assert verdict.kind is VerdictKind.NOT_COPOSITIVE
+    assert verdict.iterations == 30
+    assert verify_witness(A, verdict.witness)
+    assert A.form(verdict.witness) == pytest.approx(-9.96e-4, rel=1e-3)
+    shifted = detect(A + 0.01 * ones_tensor(3, 3), DetectorConfig(max_iterations=400))
+    assert shifted.kind is VerdictKind.COPOSITIVE and shifted.iterations == 51
+
+
 def test_relaxation_negative_passthrough():
     A = -1.0 * ones_tensor(3, 3)
-    verdict = detect_with_relaxation(A, 0.5)
+    verdict = detect(A, DetectorConfig(sigma=0.5))
     assert verdict.kind is VerdictKind.NOT_COPOSITIVE
     assert not verdict.sigma_certified
     assert verify_witness(A, verdict.witness)
-
-
-def test_relaxation_rejects_nonpositive_sigma():
-    with pytest.raises(ValueError):
-        detect_with_relaxation(ones_tensor(3, 3), 0.0)
-    with pytest.raises(ValueError):
-        detect_with_relaxation(ones_tensor(3, 3), -0.1)
 
 
 def test_sigma_soundness_sampling():
     rng = np.random.default_rng(17)
     M = motzkin_tensor()
     sigma = 0.01
-    verdict = detect_with_relaxation(M, sigma, DetectorConfig(max_iterations=1000))
+    verdict = detect(M, DetectorConfig(max_iterations=1000, sigma=sigma))
     assert verdict.sigma_certified
     for _ in range(1000):
         x = random_simplex_point(rng, 3)
@@ -277,7 +285,7 @@ def test_random_copositive_runs_certify_immediately():
 
 def test_search_carries_coefficients_and_vertex_values(monkeypatch):
     # Every bisection costs one form evaluation (the midpoint, shared by
-    # both children) and no fresh congruence; the root costs n.
+    # both children); the root costs n.
     calls = []
     form = SymmetricTensor.form
 
@@ -285,11 +293,7 @@ def test_search_carries_coefficients_and_vertex_values(monkeypatch):
         calls.append(1)
         return form(self, x)
 
-    def forbidden(self, V):
-        raise AssertionError("detect must not recompute a congruence")
-
     monkeypatch.setattr(SymmetricTensor, "form", counted)
-    monkeypatch.setattr(SymmetricTensor, "congruence", forbidden)
     verdict = detect(eta_shift(9.01, ones_tensor(3, 3)))
     assert verdict.kind is VerdictKind.COPOSITIVE and verdict.iterations == 59
     bisections = (verdict.iterations - 1) // 2

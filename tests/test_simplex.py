@@ -3,13 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from coposim import DegenerateCellError, PartitionFrontier, Simplex, standard_simplex
+from coposim import (
+    DegenerateCellError,
+    DetectorConfig,
+    Simplex,
+    detect,
+    eta_shift,
+    ones_tensor,
+    standard_simplex,
+)
+
+from _brute import barycentric_coordinates, congruence, contains, dense_of
 
 
 def test_standard_simplex():
     S = standard_simplex(3)
     assert np.array_equal(S.vertices, np.eye(3))
-    assert np.array_equal(S.vertex_matrix, np.eye(3))
     assert standard_simplex(2).diameter() == pytest.approx(math.sqrt(2))
     for n in (2, 3, 5, 8):
         assert standard_simplex(n).diameter() == pytest.approx(math.sqrt(2))
@@ -73,9 +82,9 @@ def test_bisection_halves_vertex_matrix_determinant():
     for _ in range(50):
         n = int(rng.integers(2, 6))
         S = _random_descendant(rng, n, int(rng.integers(0, 6)))
-        parent_det = abs(np.linalg.det(S.vertex_matrix))
+        parent_det = abs(np.linalg.det(S.vertices))
         for child in S.bisect_longest_edge():
-            child_det = abs(np.linalg.det(child.vertex_matrix))
+            child_det = abs(np.linalg.det(child.vertices))
             assert child_det == pytest.approx(0.5 * parent_det, rel=1e-9)
 
 
@@ -121,68 +130,44 @@ def test_coverage_and_disjoint_interiors():
             leaves.extend(cell.bisect_longest_edge())
         for _ in range(40):
             x = rng.dirichlet(np.ones(n))
-            holders = sum(1 for cell in leaves if cell.contains(x, tol=1e-12))
+            holders = sum(1 for cell in leaves if contains(cell, x, tol=1e-12))
             assert holders >= 1
             strict = sum(
                 1
                 for cell in leaves
-                if np.min(cell.barycentric_coordinates(x)) > 1e-9
+                if np.min(barycentric_coordinates(cell, x)) > 1e-9
             )
             assert strict <= 1
 
 
 def test_membership_helpers():
     S = standard_simplex(3)
-    assert S.contains([1 / 3, 1 / 3, 1 / 3])
-    assert S.contains([1.0, 0.0, 0.0])
-    lam = S.barycentric_coordinates([0.2, 0.3, 0.5])
+    assert contains(S, [1 / 3, 1 / 3, 1 / 3])
+    assert contains(S, [1.0, 0.0, 0.0])
+    lam = barycentric_coordinates(S, [0.2, 0.3, 0.5])
     assert np.allclose(lam, [0.2, 0.3, 0.5])
     child = S.bisect_longest_edge()[0]
-    assert not child.contains([1.0, 0.0, 0.0], tol=1e-12)
-
-
-def test_frontier_is_lifo():
-    a = standard_simplex(2)
-    b, c = a.bisect_longest_edge()
-    frontier = PartitionFrontier()
-    frontier.push(a)
-    frontier.push(b)
-    cell, _ = frontier.pop()
-    assert cell is b
-    frontier2 = PartitionFrontier()
-    frontier2.push(a)
-    cell, depth = frontier2.pop()
-    assert cell is a and depth == 0
-    assert not frontier2
-    with pytest.raises(IndexError):
-        frontier2.pop()
+    assert not contains(child, [1.0, 0.0, 0.0], tol=1e-12)
 
 
 def test_frontier_bisection_discipline():
-    # after replacing the top cell by its two children, the second child
-    # (the one that replaced the later edge endpoint) pops first
-    frontier = PartitionFrontier()
-    root = standard_simplex(3)
-    frontier.push(root, 0)
-    cell, depth = frontier.pop()
-    first, second = cell.bisect_longest_edge()
-    frontier.push(first, depth + 1)
-    frontier.push(second, depth + 1)
-    top, top_depth = frontier.pop()
-    assert top is second and top_depth == 1
-    nxt, _ = frontier.pop()
-    assert nxt is first
-    assert len(frontier) == 0
-
-
-def test_frontier_max_diameter():
-    frontier = PartitionFrontier()
-    assert frontier.max_diameter() == 0.0
-    root = standard_simplex(2)
-    first, second = root.bisect_longest_edge()
-    grand = first.bisect_longest_edge()[0]
-    frontier.push(second, 1)
-    frontier.push(grand, 2)
-    assert frontier.max_diameter() == pytest.approx(second.diameter())
-    assert [cell is c for (cell, _), c in zip(frontier, (second, grand))] == [True, True]
-    assert frontier.cells() == [second, grand]
+    # The certified cells come out in the order of a depth-first walk that
+    # tests vertices before coefficients and, after each bisection, visits
+    # the child that replaced the later edge endpoint first.
+    A = eta_shift(9.01, ones_tensor(3, 3))
+    dense = dense_of(A)
+    expected, visited = [], 0
+    stack = [standard_simplex(3)]
+    while stack:
+        cell = stack.pop()
+        visited += 1
+        assert min(A.form(v) for v in cell.vertices) >= -1e-12
+        if congruence(dense, cell.vertices.T).coefficient_vector().min() >= -1e-12:
+            expected.append(cell)
+        else:
+            stack.extend(cell.bisect_longest_edge())
+    verdict = detect(A, DetectorConfig(keep_certificates=True))
+    assert verdict.iterations == visited == 59
+    assert [cell.vertices.tolist() for cell in verdict.certified_cells] == [
+        cell.vertices.tolist() for cell in expected
+    ]

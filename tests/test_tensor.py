@@ -28,9 +28,11 @@ from _brute import (
     brute_mixed,
     brute_multilinear,
     close,
+    congruence,
     dense_of,
     loop_form,
     loop_gradient,
+    principal_subtensor,
     random_symmetric,
 )
 
@@ -119,27 +121,21 @@ def test_gradient_examples():
 
 
 def test_mixed_form_examples():
-    E = ones_tensor(3, 2)
-    I = identity_tensor(3, 2)
+    E = dense_of(ones_tensor(3, 2))
+    I = dense_of(identity_tensor(3, 2))
     x = np.array([1.0, 0.0])
-    assert E.mixed_form(x, 3, [5.0, 7.0]) == pytest.approx(E.form(x))
-    assert E.mixed_form(x, 1, [1.0, 1.0]) == pytest.approx(4.0)
-    assert I.mixed_form(x, 2, [0.0, 1.0]) == pytest.approx(0.0)
-    with pytest.raises(ValueError):
-        E.mixed_form(x, 4, x)
-    with pytest.raises(ValueError):
-        E.mixed_form(x, -1, x)
+    assert brute_mixed(E, x, 3, [5.0, 7.0]) == pytest.approx(ones_tensor(3, 2).form(x))
+    assert brute_mixed(E, x, 1, [1.0, 1.0]) == pytest.approx(4.0)
+    assert brute_mixed(I, x, 2, [0.0, 1.0]) == pytest.approx(0.0)
 
 
 def test_multilinear_examples():
     e = np.eye(3)
-    assert ones_tensor(3, 3).multilinear([e[0], e[1], e[2]]) == pytest.approx(1.0)
-    assert identity_tensor(3, 3).multilinear([e[0], e[0], e[1]]) == pytest.approx(0.0)
+    assert brute_multilinear(dense_of(ones_tensor(3, 3)), [e[0], e[1], e[2]]) == pytest.approx(1.0)
+    assert brute_multilinear(dense_of(identity_tensor(3, 3)), [e[0], e[0], e[1]]) == 0.0
     x = np.array([0.3, 0.5, 0.2])
     A = motzkin_tensor()
-    assert A.multilinear([x] * 6) == pytest.approx(A.form(x))
-    with pytest.raises(ValueError):
-        ones_tensor(3, 3).multilinear([e[0], e[1]])
+    assert brute_multilinear(dense_of(A), [x] * 6) == pytest.approx(A.form(x))
 
 
 def test_vector_space_operations():
@@ -169,15 +165,16 @@ def test_inner_and_norm_examples():
 
 def test_principal_subtensor():
     M = motzkin_tensor()
-    assert M.principal_subtensor(range(1, 4)) == M
-    single = M.principal_subtensor([3])
+    dense = dense_of(M)
+    assert principal_subtensor(dense, range(1, 4)) == M
+    single = principal_subtensor(dense, [3])
     assert single.dim == 1 and single[(1,) * 6] == 1.0
-    pair = M.principal_subtensor([1, 2])
+    pair = principal_subtensor(dense, [1, 2])
     assert pair == from_polynomial(6, 2, [((4, 2), 1.0), ((2, 4), 1.0)])
     with pytest.raises(ValueError):
-        M.principal_subtensor([])
+        principal_subtensor(dense, [])
     with pytest.raises(ValueError):
-        M.principal_subtensor([0, 1])
+        principal_subtensor(dense, [0, 1])
 
 
 def test_principal_subtensor_evaluation_identity():
@@ -188,7 +185,7 @@ def test_principal_subtensor_evaluation_identity():
         A = random_symmetric(rng, m, n)
         size = int(rng.integers(1, n + 1))
         J = sorted(rng.choice(np.arange(1, n + 1), size=size, replace=False).tolist())
-        sub = A.principal_subtensor(J)
+        sub = principal_subtensor(dense_of(A), J)
         x_sub = rng.uniform(-1, 1, size=len(J))
         x_full = np.zeros(n)
         for position, j in enumerate(J):
@@ -198,14 +195,13 @@ def test_principal_subtensor_evaluation_identity():
 
 def test_congruence_examples():
     E = ones_tensor(3, 2)
-    I = identity_tensor(3, 2)
-    assert E.congruence(np.eye(2)) == E
+    assert congruence(dense_of(E), np.eye(2)) == E
     V = np.array([[1.0, 0.5], [0.0, 0.5]])
-    transformed = E.congruence(V)
+    transformed = congruence(dense_of(E), V)
     assert all(transformed[key] == pytest.approx(1.0) for key in canonical_keys(3, 2))
-    assert I.congruence(V)[(2, 2, 2)] == pytest.approx(0.25)
+    assert congruence(dense_of(identity_tensor(3, 2)), V)[(2, 2, 2)] == pytest.approx(0.25)
     with pytest.raises(ValueError):
-        E.congruence(np.eye(3))
+        congruence(dense_of(E), np.eye(3))
 
 
 def test_congruence_against_multilinear_oracle():
@@ -215,9 +211,10 @@ def test_congruence_against_multilinear_oracle():
         n = int(rng.integers(2, 5))
         A = random_symmetric(rng, m, n)
         V = rng.uniform(-1, 1, size=(n, n))
-        transformed = A.congruence(V)
+        dense = dense_of(A)
+        transformed = congruence(dense, V)
         for key in canonical_keys(m, n):
-            want = A.multilinear([V[:, i - 1] for i in key])
+            want = brute_multilinear(dense, [V[:, i - 1] for i in key])
             assert close(transformed[key], want)
 
 
@@ -229,7 +226,7 @@ def test_congruence_form_identity():
         A = random_symmetric(rng, m, n)
         V = rng.uniform(-1, 1, size=(n, n))
         lam = rng.uniform(-1, 1, size=n)
-        assert close(A.congruence(V).form(lam), A.form(V @ lam))
+        assert close(congruence(dense_of(A), V).form(lam), A.form(V @ lam))
 
 
 def test_binomial_expansion_identity():
@@ -240,8 +237,9 @@ def test_binomial_expansion_identity():
         A = random_symmetric(rng, m, n)
         x = rng.uniform(-1, 1, size=n)
         y = rng.uniform(-1, 1, size=n)
+        dense = dense_of(A)
         expansion = math.fsum(
-            math.comb(m, k) * A.mixed_form(x, m - k, y) for k in range(m + 1)
+            math.comb(m, k) * brute_mixed(dense, x, m - k, y) for k in range(m + 1)
         )
         assert close(A.form(x + y), expansion)
 
@@ -254,7 +252,7 @@ def test_contraction_consistency():
         A = random_symmetric(rng, m, n)
         x = rng.uniform(-1, 1, size=n)
         assert close(float(x @ A.gradient_form(x)), A.form(x))
-        assert close(A.multilinear([x] * m), A.form(x))
+        assert close(brute_multilinear(dense_of(A), [x] * m), A.form(x))
 
 
 def test_brute_force_equivalence():
@@ -265,13 +263,8 @@ def test_brute_force_equivalence():
         A = random_symmetric(rng, m, n)
         dense = dense_of(A)
         x = rng.uniform(-1, 1, size=n)
-        y = rng.uniform(-1, 1, size=n)
-        k = int(rng.integers(0, m + 1))
-        factors = [rng.uniform(-1, 1, size=n) for _ in range(m)]
         assert close(A.form(x), brute_form(dense, x))
         assert np.allclose(A.gradient_form(x), brute_gradient(dense, x), atol=1e-10)
-        assert close(A.mixed_form(x, k, y), brute_mixed(dense, x, k, y))
-        assert close(A.multilinear(factors), brute_multilinear(dense, factors))
         B = random_symmetric(rng, m, n)
         assert close(A.inner(B), brute_inner(dense, dense_of(B)))
 
@@ -300,15 +293,16 @@ def test_split_coefficients_track_the_congruence():
     for m, n in ((2, 3), (3, 3), (4, 4), (6, 3), (6, 5)):
         for _ in range(3):
             A = random_symmetric(rng, m, n)
+            dense = dense_of(A)
             scale = max(abs(v) for v in A.entries.values())
             V = np.eye(n)
             c = A.coefficient_vector()
-            assert np.array_equal(c, A.congruence(V).coefficient_vector())
+            assert np.array_equal(c, congruence(dense, V).coefficient_vector())
             for level in range(1, depth + 1):
                 p, q = (int(i) for i in rng.choice(n, size=2, replace=False))
                 V[:, p] = 0.5 * (V[:, p] + V[:, q])
                 c = split_coefficients(c, m, n, p, q)
-                reference = A.congruence(V).coefficient_vector()
+                reference = congruence(dense, V).coefficient_vector()
                 tol = (level * (m + 1) + m * n) * eps * scale
                 assert np.max(np.abs(c - reference)) <= tol
     with pytest.raises(ValueError):
@@ -343,21 +337,32 @@ def test_nonfinite_entries_rejected():
         from_polynomial(2, 2, [((2, 0), math.inf)])
 
 
+def test_weighted_entries_must_stay_finite():
+    # Finite entries whose multiplicity-weighted sum overflows would make
+    # form values inf, or inf - inf inside fsum.
+    for entries in (
+        {(1, 1, 1): 1, (2, 2, 2): 1, (1, 1, 2): 1e308, (1, 2, 2): -1e308},
+        {(1, 1, 2): 1e308},
+        {(1, 1, 1): 1e308, (2, 2, 2): 1e308},
+    ):
+        with pytest.raises(ValueError, match="too large"):
+            SymmetricTensor(3, 2, entries)
+    with pytest.raises(ValueError, match="too large"):
+        2.0 * SymmetricTensor(3, 2, {(1, 1, 2): 5e307})
+    # Still under the bound: max|entry| * n**m overflows, the exact sum
+    # (1e308 + 3 * 2e307) does not, and the form stays finite.
+    A = SymmetricTensor(3, 2, {(1, 1, 1): 1e308, (1, 1, 2): 2e307})
+    assert A.form([0.5, 0.5]) == pytest.approx(2e307)
+    assert SymmetricTensor(3, 2, {(1, 1, 1): 2e307}).form([1.0, 0.0]) == 2e307
+
+
 def test_multilinear_factor_permutation_invariance():
     rng = np.random.default_rng(47)
-    A = random_symmetric(rng, 3, 3)
+    dense = dense_of(random_symmetric(rng, 3, 3))
     factors = [rng.uniform(-1, 1, size=3) for _ in range(3)]
-    reference = A.multilinear(factors)
+    reference = brute_multilinear(dense, factors)
     for perm in itertools.permutations(factors):
-        assert close(A.multilinear(list(perm)), reference)
-
-
-def test_dense_cache_is_readonly():
-    A = identity_tensor(3, 3)
-    dense = A.to_dense()
-    assert not dense.flags.writeable
-    assert dense[1, 1, 1] == 1.0 and dense[0, 1, 2] == 0.0
-    assert A.to_dense() is dense
+        assert close(brute_multilinear(dense, list(perm)), reference)
 
 
 def test_storage_bound():
