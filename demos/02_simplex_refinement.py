@@ -1,54 +1,61 @@
-"""Longest-edge bisection of the standard simplex.
+"""The partition a certified run leaves.
 
-The detector searches the set of unit-sum nonnegative vectors, so its
-cells are simplices spanned by n vertices of that set.  The only
-refinement is the midpoint split of the longest edge, which keeps the
-partition exact and drives diameters to zero.
+The detector searches the standard simplex, the set of unit-sum
+nonnegative vectors.  A cell is an (n, n) array with one vertex per row,
+and the root cell is the identity.  A cell that is neither refuted nor
+certified is split at the midpoint of its longest edge into two children,
+each the parent with one endpoint replaced by the midpoint.  A copositive
+run with ``keep_certificates=True`` returns the certified cells: the
+leaves of that refinement, in the order the depth-first search met them.
 """
+
+import itertools
+import math
+from collections import Counter
 
 import numpy as np
 
-from coposim import standard_simplex
+from coposim import DetectorConfig, detect, eta_shift, ones_tensor
 
-S = standard_simplex(3)
-print("root vertices:\n", S.vertices)
-print("root diameter:", S.diameter())
+A = eta_shift(19.0, ones_tensor(3, 3))
+verdict = detect(A, DetectorConfig(keep_certificates=True))
+cells = verdict.certified_cells
+print(f"{verdict.kind.value} after {verdict.iterations} cells: "
+      f"{len(cells)} certified, max depth {verdict.max_depth}")
 
-# All edges of the root tie at sqrt(2); the tie-break picks the (1, 2)
-# edge, so the midpoint is (0.5, 0.5, 0).
-first, second = S.bisect_longest_edge()
-print("first child:\n", first.vertices)
-print("second child:\n", second.vertices)
-print("child diameters:", first.diameter(), second.diameter())
+# All edges of the root tie at sqrt(2); the tie-break takes the first
+# edge, (1, 2), whose midpoint (0.5, 0.5, 0) shows in the first cell.
+# The child that replaced vertex 2 is searched first, so the first
+# certified cell keeps vertex 1.
+print("first certified cell:\n", cells[0])
+print("second certified cell:\n", cells[1])
 
-# The vertex-matrix determinant is the cell's volume measure; each split
-# halves it exactly.
-det = lambda cell: abs(np.linalg.det(cell.vertices))
-print("determinants root/children:", det(S), det(first), det(second))
+# |det V| is a cell's share of the simplex: the root's is 1 and every
+# split halves it exactly, so the leaves' shares add up to one.
+dets = [abs(np.linalg.det(cell)) for cell in cells]
+print("|det| per cell:", [f"1/{round(1 / d)}" for d in dets])
+print("sum of |det|:", math.fsum(dets))
 
-# Any point of the simplex lands in exactly one child interior (boundary
-# points are shared): its barycentric coordinates over that child's
-# vertices are all nonnegative.
-def inside(cell, x):
-    return bool(np.all(np.linalg.solve(cell.vertices.T, x) >= -1e-12))
+# The cells tile the simplex: a point has nonnegative barycentric
+# coordinates in one cell, or in several when it lies on a shared face.
+def holders(x):
+    return [k for k, cell in enumerate(cells) if np.all(np.linalg.solve(cell.T, x) >= -1e-12)]
 
 
 for x in ([0.6, 0.3, 0.1], [0.1, 0.6, 0.3], [0.5, 0.5, 0.0]):
-    print(x, "in first:", inside(first, x), "in second:", inside(second, x))
+    print(x, "lies in cells", holders(x))
 
-# The frontier is a plain list used as a stack: after a split appends the
-# children in order, the second child is processed next, giving the
-# depth-first walk the detector needs for bounded memory and reproducible
-# iteration counts.
-frontier = [S]
-a, b = frontier.pop().bisect_longest_edge()
-frontier.extend((a, b))
-print("popped the second child:", frontier.pop() is b)
+# A deeper run: cells per depth, and the largest cell left.
+verdict = detect(eta_shift(9.01, ones_tensor(3, 3)), DetectorConfig(keep_certificates=True))
+cells = verdict.certified_cells
+depths = Counter(round(-math.log2(abs(np.linalg.det(cell)))) for cell in cells)
+print("eta = 9.01:", len(cells), "certified cells by depth:", dict(sorted(depths.items())))
+print("sum of |det|:", math.fsum(abs(np.linalg.det(cell)) for cell in cells))
+diameter = max(np.linalg.norm(a - b) for cell in cells for a, b in itertools.combinations(cell, 2))
+print("largest diameter:", diameter)
 
-# Repeated refinement shrinks the largest diameter below any threshold.
-leaves = [standard_simplex(3)]
-for _ in range(100):
-    leaves.sort(key=lambda cell: -cell.diameter())
-    leaves.extend(leaves.pop(0).bisect_longest_edge())
-print("cells after 100 splits:", len(leaves),
-      " max diameter:", max(cell.diameter() for cell in leaves))
+# Certified cells are read-only views of the search's own cells.
+try:
+    cells[0][0, 0] = 0.0
+except ValueError as error:
+    print("writing a certified cell:", error)

@@ -39,11 +39,6 @@ from .prescreen import (
     subtensor_sample_refute,
     zero_point_gradient_check,
 )
-from .simplex import (
-    DegenerateCellError,
-    Simplex,
-    standard_simplex,
-)
 from .spectral import (
     PowerIterationBudgetError,
     PowerIterationResult,
@@ -54,13 +49,11 @@ from .tensor import SymmetricTensor, canonical_key, canonical_keys, multiplicity
 __version__ = "0.1.0"
 
 __all__ = [
-    "DegenerateCellError",
     "DetectorConfig",
     "Monomial",
     "PowerIterationBudgetError",
     "PowerIterationResult",
     "PrescreenReport",
-    "Simplex",
     "SymmetricTensor",
     "Verdict",
     "VerdictKind",
@@ -83,7 +76,6 @@ __all__ = [
     "robinson_tensor",
     "run_prescreen",
     "spectral_radius",
-    "standard_simplex",
     "subtensor_sample_refute",
     "verify_witness",
     "zero_point_gradient_check",

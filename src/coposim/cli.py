@@ -77,6 +77,7 @@ def _ranged(convert, minimum, *, strict: bool = False):
 
 
 _COUNT = _ranged(int, 1)
+_SEED = _ranged(int, 0)
 _NONNEGATIVE = _ranged(float, 0.0)
 _POSITIVE = _ranged(float, 0.0, strict=True)
 
@@ -195,7 +196,7 @@ def cmd_detect(args) -> int:
     }
     if args.certificate and verdict.certified_cells is not None:
         record["certificate"] = {
-            "cells": [cell.vertices.tolist() for cell in verdict.certified_cells]
+            "cells": [cell.tolist() for cell in verdict.certified_cells]
         }
     _emit(record, args.out)
     if verdict.kind is VerdictKind.UNDECIDED:
@@ -400,11 +401,11 @@ def cmd_table(args) -> int:
 def _add_source_arguments(parser, with_eta=True):
     parser.add_argument("source", nargs="?", help="tensor or polynomial JSON file")
     parser.add_argument("--gen", choices=GENERATORS, help="generate the input instead")
-    parser.add_argument("--m", type=int, help="tensor order for --gen")
-    parser.add_argument("--n", type=int, help="tensor dimension for --gen")
+    parser.add_argument("--m", type=_COUNT, help="tensor order for --gen")
+    parser.add_argument("--n", type=_COUNT, help="tensor dimension for --gen")
     if with_eta:
         parser.add_argument("--eta", type=float, help="diagonal shift for --gen eta-ones")
-    parser.add_argument("--seed", type=int, default=0, help="seed for random generators")
+    parser.add_argument("--seed", type=_SEED, default=0, help="seed for random generators")
     parser.add_argument("--out", help="also write the JSON result to this file")
 
 
@@ -429,7 +430,7 @@ def build_parser() -> _Parser:
     p_table.add_argument("table", type=int, choices=(1, 2, 3))
     p_table.add_argument("--max-iter", type=_COUNT, default=100, dest="max_iter")
     p_table.add_argument("--tol", type=_NONNEGATIVE, default=1e-12)
-    p_table.add_argument("--seed", type=int, default=0, help="base seed for the trials")
+    p_table.add_argument("--seed", type=_SEED, default=0, help="base seed for the trials")
     p_table.add_argument("--out", help="also write the rows as JSON to this file")
     p_table.set_defaults(func=cmd_table)
 

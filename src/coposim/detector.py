@@ -10,9 +10,12 @@ its longest edge, depth first.  An empty frontier certifies copositivity
 on the whole simplex; running out of budget returns an explicit undecided
 verdict.
 
-A child's coefficients come from its parent's by midpoint subdivision,
-and it inherits all vertex values but the midpoint's, so a bisection
-costs one form evaluation and no dense contraction.
+A cell is a read-only ``(n, n)`` array with one vertex per row; the root
+is the identity.  Bisecting edge ``(p, q)`` makes two children, each the
+parent with one endpoint's row replaced by the edge midpoint.  A child's
+coefficients come from its parent's by midpoint subdivision, and it
+inherits all vertex values but the midpoint's, so a bisection costs one
+form evaluation and no dense contraction.
 
 All sign decisions go through a single tolerance ``tau``: "negative" means
 below ``-tau``, "nonnegative" means at least ``-tau``.  With the cellwise
@@ -38,7 +41,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simplex import Simplex, standard_simplex
 from .tensor import SymmetricTensor, integer, split_coefficients
 
 __all__ = [
@@ -88,10 +90,11 @@ class Verdict:
 
     ``witness`` is present exactly for a not-copositive verdict and is a
     nonnegative unit-sum vector whose form value is below ``-tolerance``.
-    ``certified_cells`` is retained only on request.  ``min_vertex_value``
-    tracks the smallest form value seen at any processed vertex (infinity
-    if the run aborted before evaluating one); on an undecided run, a value
-    near zero points at a zero of the form on the simplex, which a positive
+    ``certified_cells`` is retained only on request, as read-only vertex
+    arrays with one vertex per row.  ``min_vertex_value`` tracks the
+    smallest form value seen at any processed vertex (infinity if the run
+    aborted before evaluating one); on an undecided run, a value near zero
+    points at a zero of the form on the simplex, which a positive
     ``sigma`` gets past.
     """
 
@@ -101,7 +104,7 @@ class Verdict:
     sigma: float
     tolerance: float
     witness: np.ndarray | None = None
-    certified_cells: tuple[Simplex, ...] | None = None
+    certified_cells: tuple[np.ndarray, ...] | None = None
     min_vertex_value: float = math.inf
     elapsed: float = 0.0
 
@@ -125,6 +128,23 @@ class Verdict:
         }
 
 
+def _longest_edge(V: np.ndarray) -> tuple[int, int, float]:
+    """Lexicographically first pair (p, q), p < q, of maximal squared
+    length among the rows of ``V``, and that length.  One ``diff @ diff``
+    per pair and a strict comparison, pairs in lexicographic order: past
+    depth 26 squared lengths round, and another summation order could
+    break a tie the other way."""
+    n = len(V)
+    best = (0, 1, -1.0)
+    for p in range(n - 1):
+        for q in range(p + 1, n):
+            diff = V[p] - V[q]
+            d2 = float(diff @ diff)
+            if d2 > best[2]:
+                best = (p, q, d2)
+    return best
+
+
 def detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdict:
     """Decide copositivity of ``A`` within the configured budget.
 
@@ -142,15 +162,16 @@ def detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdict:
     m, n = A.order, A.dim
     tau = cfg.tolerance
     floor = -cfg.sigma - tau
-    root = standard_simplex(n)
+    root = np.eye(n)
+    root.setflags(write=False)
     # Frontier entries are (cell, Bernstein coefficients, vertex values,
     # depth), popped last in first out.  The root's coefficients are A's
     # entries: its barycentric coordinates are the coordinates themselves.
-    frontier = [(root, A.coefficient_vector(), tuple(A.form(u) for u in root.vertices), 0)]
+    frontier = [(root, A.coefficient_vector(), tuple(A.form(u) for u in root), 0)]
     iterations = 0
     max_depth = 0
     min_vertex = math.inf
-    certified: list[Simplex] | None = [] if cfg.keep_certificates else None
+    certified: list[np.ndarray] | None = [] if cfg.keep_certificates else None
 
     def verdict(kind: VerdictKind, **kw) -> Verdict:
         return Verdict(
@@ -169,23 +190,30 @@ def detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdict:
             return verdict(VerdictKind.UNDECIDED)
         cell, coefficients, values, depth = frontier.pop()
         iterations += 1
-        if cfg.min_diameter > 0.0 and cell.diameter() < cfg.min_diameter:
-            return verdict(VerdictKind.UNDECIDED)
+        edge = None
+        if cfg.min_diameter > 0.0:
+            edge = _longest_edge(cell)
+            if math.sqrt(edge[2]) < cfg.min_diameter:
+                return verdict(VerdictKind.UNDECIDED)
         lowest = min(values)
         min_vertex = min(min_vertex, lowest)
         if lowest < -tau:
             i = next(i for i, value in enumerate(values) if value < -tau)
-            return verdict(VerdictKind.NOT_COPOSITIVE, witness=np.array(cell.vertices[i]))
+            return verdict(VerdictKind.NOT_COPOSITIVE, witness=np.array(cell[i]))
         if coefficients.min() >= floor:
             if certified is not None:
                 certified.append(cell)
             continue
-        p, q = cell.longest_edge()
-        first, second = cell.bisect_longest_edge()
+        p, q, _ = edge or _longest_edge(cell)
+        midpoint = 0.5 * (cell[p] + cell[q])
         # Vertex values are never read off the coefficients: the midpoint
         # gets an exact form evaluation.
-        mid = A.form(first.vertices[p])
-        for child, moved, kept in ((first, p, q), (second, q, p)):
+        mid = A.form(midpoint)
+        # The first child replaces p, the second q; the second is popped next.
+        for moved, kept in ((p, q), (q, p)):
+            child = cell.copy()
+            child[moved] = midpoint
+            child.setflags(write=False)
             child_values = values[:moved] + (mid,) + values[moved + 1 :]
             child_coefficients = split_coefficients(coefficients, m, n, moved, kept)
             frontier.append((child, child_coefficients, child_values, depth + 1))

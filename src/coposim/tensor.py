@@ -208,15 +208,6 @@ class SymmetricTensor:
 
     __hash__ = None
 
-    def allclose(self, other: "SymmetricTensor", rtol: float = 1e-12, atol: float = 1e-12) -> bool:
-        """Entrywise closeness over the union of stored keys."""
-        self._check_shape(other)
-        keys = self._entries.keys() | other._entries.keys()
-        return all(
-            math.isclose(self._entries.get(k, 0.0), other._entries.get(k, 0.0), rel_tol=rtol, abs_tol=atol)
-            for k in keys
-        )
-
     # -- shape and argument checks ------------------------------------------
 
     def _check_shape(self, other: "SymmetricTensor") -> None:
@@ -336,8 +327,15 @@ class SymmetricTensor:
         )
 
     def norm(self) -> float:
-        """Frobenius norm over the dense index space."""
-        return math.sqrt(self.inner(self))
+        """Frobenius norm over the dense index space.  Entries are scaled
+        by the largest magnitude before squaring, so the norm of a nonzero
+        tensor neither overflows nor underflows."""
+        if not self._entries:
+            return 0.0
+        scale = max(abs(value) for value in self._entries.values())
+        return scale * math.sqrt(
+            math.fsum(multiplicity(k) * (v / scale) ** 2 for k, v in self._entries.items())
+        )
 
     def coefficient_vector(self) -> np.ndarray:
         """Every canonical coefficient, zeros included, in lexicographic key

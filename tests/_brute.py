@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from coposim import Simplex, SymmetricTensor, barycentric_lattice, canonical_keys, multiplicity
+from coposim import SymmetricTensor, barycentric_lattice, canonical_keys, multiplicity
 from coposim.prescreen import DIAGONAL, SUBTENSOR_SAMPLE, PrescreenReport
 
 
@@ -110,16 +110,52 @@ def principal_subtensor(dense: np.ndarray, J) -> SymmetricTensor:
     return _tensor_of_dense(dense[np.ix_(*[rows] * dense.ndim)])
 
 
-def barycentric_coordinates(S: Simplex, x) -> np.ndarray:
-    """Coefficients expressing ``x`` over the vertices of ``S`` (they sum
-    to one whenever ``x`` has coordinate-sum one)."""
-    return np.linalg.solve(S.vertices.T, np.asarray(x, dtype=float))
+def longest_edge(V) -> tuple[int, int, float]:
+    """The search's edge rule on the vertex rows of ``V``: the
+    lexicographically first pair (p, q), p < q, of maximal squared length,
+    and that length, from one ``diff @ diff`` per pair and a strict
+    comparison."""
+    n = len(V)
+    best_d2 = -1.0
+    best = (0, 1)
+    for p in range(n - 1):
+        for q in range(p + 1, n):
+            diff = V[p] - V[q]
+            d2 = float(diff @ diff)
+            if d2 > best_d2:
+                best_d2 = d2
+                best = (p, q)
+    return best[0], best[1], best_d2
 
 
-def contains(S: Simplex, x, tol: float = 1e-12) -> bool:
-    """Membership up to a boundary tolerance on the barycentric
-    coordinates."""
-    return bool(np.all(barycentric_coordinates(S, x) >= -tol))
+def diameter(V) -> float:
+    """Largest pairwise distance between the vertex rows of ``V``."""
+    return math.sqrt(longest_edge(V)[2])
+
+
+def bisect(V) -> tuple[np.ndarray, np.ndarray]:
+    """Split ``V`` at the midpoint ``v`` of its longest edge (p, q): the
+    first child replaces row ``p`` by ``v``, the second row ``q``.  The
+    search pushes them in this order, so it pops the second first."""
+    p, q, _ = longest_edge(V)
+    v = 0.5 * (V[p] + V[q])
+    first = np.array(V, dtype=float)
+    first[p] = v
+    second = np.array(V, dtype=float)
+    second[q] = v
+    return first, second
+
+
+def barycentric_coordinates(V, x) -> np.ndarray:
+    """Coefficients expressing ``x`` over the vertex rows of ``V`` (they
+    sum to one whenever ``x`` has coordinate-sum one)."""
+    return np.linalg.solve(np.asarray(V, dtype=float).T, np.asarray(x, dtype=float))
+
+
+def contains(V, x, tol: float = 1e-12) -> bool:
+    """Membership in the cell with vertex rows ``V``, up to a boundary
+    tolerance on the barycentric coordinates."""
+    return bool(np.all(barycentric_coordinates(V, x) >= -tol))
 
 
 def subtensor_prescreen(A: SymmetricTensor, grid_depth: int = 2,

@@ -21,12 +21,12 @@ from coposim import (
     random_tensor_negative_diagonal,
     robinson_tensor,
     spectral_radius,
-    standard_simplex,
     verify_witness,
 )
 
 from _brute import (
     barycentric_coordinates,
+    bisect,
     brute_form,
     brute_gradient,
     brute_inner,
@@ -35,6 +35,7 @@ from _brute import (
     congruence,
     contains,
     dense_of,
+    diameter,
     random_simplex_point,
     random_symmetric,
 )
@@ -193,12 +194,11 @@ def test_criterion_6_property_suites():
     point_checks = 0
     for trial in range(10):
         n = 2 + trial % 3
-        leaves = [standard_simplex(n)]
+        leaves = [np.eye(n)]
         for _ in range(25):
             cell = leaves.pop(int(rng.integers(0, len(leaves))))
-            diameter = cell.diameter()
-            children = cell.bisect_longest_edge()
-            if any(child.diameter() > diameter + 1e-15 for child in children):
+            children = bisect(cell)
+            if any(diameter(child) > diameter(cell) + 1e-15 for child in children):
                 failures.append(("bisection diameter", n))
             leaves.extend(children)
         for _ in range(15):

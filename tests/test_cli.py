@@ -122,6 +122,9 @@ def test_detect_certificate_retention(capsys):
     assert code == EXIT_COPOSITIVE
     cells = record["certificate"]["cells"]
     assert cells and all(len(cell) == 3 for cell in cells)
+    A = coposim.eta_shift(19.0, coposim.ones_tensor(3, 3))
+    verdict = coposim.detect(A, coposim.DetectorConfig(keep_certificates=True))
+    assert cells == [cell.tolist() for cell in verdict.certified_cells]
 
 
 def test_gen_then_detect_file_round_trip(tmp_path, capsys):
@@ -251,6 +254,15 @@ def test_usage_errors(capsys, tmp_path):
         ["spectral", "--gen", "ones", "--m", "3", "--n", "3", "--max-iter", "0"],
         ["spectral", "--gen", "ones", "--m", "3", "--n", "3", "--tol", "0"],
         ["prescreen", *gen, "--depth", "0"],
+        ["detect", "--gen", "ones", "--m", "-1", "--n", "3"],
+        ["detect", "--gen", "ones", "--m", "0", "--n", "3"],
+        ["detect", "--gen", "ones", "--m", "3", "--n", "0"],
+        ["gen", "--gen", "identity", "--m", "2", "--n", "-2"],
+        ["detect", "--gen", "random", "--m", "3", "--n", "3", "--seed", "-1"],
+        ["prescreen", "--gen", "example3-b", "--m", "3", "--n", "3", "--seed", "-1"],
+        ["spectral", "--gen", "random", "--m", "3", "--n", "3", "--seed", "-1"],
+        ["gen", "--gen", "random", "--m", "3", "--n", "3", "--seed", "-1"],
+        ["table", "2", "--seed", "-1"],
     ):
         with pytest.raises(SystemExit) as info:
             main(argv)

@@ -38,7 +38,7 @@ def test_certify_nonnegative_tensor_on_standard_simplex():
     A = random_symmetric(rng, 3, 3, lo=0.0, hi=1.0)
     verdict = detect(A, DetectorConfig(keep_certificates=True))
     assert verdict.kind is VerdictKind.COPOSITIVE and verdict.iterations == 1
-    assert np.array_equal(verdict.certified_cells[0].vertices, np.eye(3))
+    assert np.array_equal(verdict.certified_cells[0], np.eye(3))
 
 
 def test_certify_negative_vertex():
@@ -165,7 +165,7 @@ def test_certificate_retention_and_recheck():
     # every retained cell re-certifies from its vertices alone
     dense = dense_of(A)
     for cell in cells:
-        coefficients = congruence(dense, cell.vertices.T).coefficient_vector()
+        coefficients = congruence(dense, cell.T).coefficient_vector()
         assert coefficients.min() >= -cfg.sigma - cfg.tolerance
     # and together the certified cells cover the simplex
     rng = np.random.default_rng(13)

@@ -163,6 +163,20 @@ def test_inner_and_norm_examples():
         I.inner(ones_tensor(4, 3))
 
 
+def test_norm_is_finite_at_extreme_scales():
+    # squaring 1e200 overflows and squaring 1e-200 underflows; the norm
+    # of a one-entry tensor is that entry's magnitude exactly
+    for value in (1e200, 1e-200, -1e200, 5e-324):
+        assert SymmetricTensor(3, 2, {(1, 1, 1): value}).norm() == abs(value)
+    assert SymmetricTensor(3, 2, {}).norm() == 0.0
+    rng = np.random.default_rng(19)
+    for _ in range(20):
+        A = random_symmetric(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
+        dense = dense_of(A)
+        assert close(A.norm(), math.sqrt(brute_inner(dense, dense)))
+        assert close((1e250 * A).norm(), 1e250 * A.norm())
+
+
 def test_principal_subtensor():
     M = motzkin_tensor()
     dense = dense_of(M)
