@@ -43,8 +43,8 @@ print("E x^2 =", g, " check:", np.dot(x, g), "== E x^3 =", E.form(x))
 t = 3.0
 print("E (3x)^3 =", E.form(t * x), " 27 * E x^3 =", t**3 * E.form(x))
 
-# Tensors form a vector space; the detection benchmarks use pencils of the
-# shape eta * I - E.
+# Tensors form a vector space; the detection benchmarks use diagonal
+# shifts of the shape eta * I - E.
 A = eta_shift(9.0, E)
 print("9I - E diagonal entry:", A[(1, 1, 1)], " off-diagonal:", A[(1, 2, 3)])
 

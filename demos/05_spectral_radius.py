@@ -1,7 +1,7 @@
 """The spectral radius of a nonnegative tensor and the copositivity
 threshold.
 
-For a nonnegative symmetric tensor B, the pencil eta * I - B is copositive
+For a nonnegative symmetric tensor B, the shift eta * I - B is copositive
 exactly when eta reaches the spectral radius of B.  The power iteration
 below brackets that radius with ratio bounds that tighten each step, which
 is how the benchmark instances on both sides of the threshold are built.

@@ -34,7 +34,6 @@ from .prescreen import (
     PrescreenReport,
     barycentric_lattice,
     diagonal_check,
-    pencil_refute,
     run_prescreen,
     subtensor_sample_refute,
     zero_point_gradient_check,
@@ -69,7 +68,6 @@ __all__ = [
     "motzkin_tensor",
     "multiplicity",
     "ones_tensor",
-    "pencil_refute",
     "polynomial_from_json",
     "random_tensor",
     "random_tensor_negative_diagonal",

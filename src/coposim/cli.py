@@ -2,8 +2,9 @@
 instance generation, and reproduction of the three benchmark tables.
 
 Exit codes: 0 copositive (or certified up to sigma), 1 not copositive,
-2 undecided, 64 usage error, 65 malformed input, 66 missing or unreadable
-input, 70 internal error.
+2 undecided (for ``spectral``: bounds still open when the iteration
+budget ran out), 64 usage error, 65 malformed input, 66 missing or
+unreadable input, 70 internal error.
 
 The argument parser is built once per process, on the first call of
 ``main``, and reused by every later call.
@@ -23,7 +24,7 @@ import numpy as np
 from . import instances
 from .detector import DetectorConfig, Verdict, VerdictKind, detect
 from .prescreen import run_prescreen
-from .spectral import spectral_radius
+from .spectral import PowerIterationBudgetError, spectral_radius
 from .tensor import SymmetricTensor
 
 EXIT_COPOSITIVE = 0
@@ -60,16 +61,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _ranged(convert, minimum, *, strict: bool = False):
+def _ranged(convert, minimum, *, strict: bool = False, bits: int = 0):
     """Argument type: ``convert(text)``, finite and at least ``minimum``
-    (above it when ``strict``); anything else is a usage error."""
+    (above it when ``strict``) and, given ``bits``, below ``2**bits``;
+    anything else is a usage error."""
+    wanted = f"a finite number {'>' if strict else '>='} {minimum}"
+    if bits:
+        wanted += f" and < 2**{bits}"
 
     def parse(text: str):
         value = convert(text)
-        if not math.isfinite(value) or value < minimum or (strict and value == minimum):
-            raise argparse.ArgumentTypeError(
-                f"must be a finite number {'>' if strict else '>='} {minimum}, got {text}"
-            )
+        low = value < minimum or (strict and value == minimum)
+        if not math.isfinite(value) or low or (bits and value >= 2**bits):
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text}")
         return value
 
     parse.__name__ = convert.__name__
@@ -77,7 +81,8 @@ def _ranged(convert, minimum, *, strict: bool = False):
 
 
 _COUNT = _ranged(int, 1)
-_SEED = _ranged(int, 0)
+# Below 2**64, so table's per-trial seed + trial stays a Philox key (< 2**128).
+_SEED = _ranged(int, 0, bits=64)
 _NONNEGATIVE = _ranged(float, 0.0)
 _POSITIVE = _ranged(float, 0.0, strict=True)
 
@@ -211,17 +216,23 @@ def cmd_detect(args) -> int:
 
 def cmd_spectral(args) -> int:
     B, _ = _load_tensor(args)
-    result = spectral_radius(B, tol=args.tol, max_iter=args.max_iter)
-    if result.shift:
-        print(f"note: reducibility shift {result.shift} applied", file=sys.stderr)
+    try:
+        result = spectral_radius(B, tol=args.tol, max_iter=args.max_iter)
+    except PowerIterationBudgetError as exc:
+        result, rho, code = exc, None, EXIT_UNDECIDED
+        print(f"{exc}; retry with a larger --max-iter or --tol", file=sys.stderr)
+    else:
+        rho, code = result.rho, 0
+        if result.shift:
+            print(f"note: reducibility shift {result.shift} applied", file=sys.stderr)
     record = {
-        "rho": result.rho,
-        "lower": result.lower,
-        "upper": result.upper,
+        "rho": rho,
+        "lower": result.lower if math.isfinite(result.lower) else None,
+        "upper": result.upper if math.isfinite(result.upper) else None,
         "iterations": result.iterations,
     }
     _emit(record, args.out)
-    return 0
+    return code
 
 
 def cmd_prescreen(args) -> int:
@@ -232,6 +243,8 @@ def cmd_prescreen(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if not args.gen:
+        raise UsageError("gen needs --gen NAME")
     A, _ = _make_tensor(args)
     text = A.to_json()
     if args.out:

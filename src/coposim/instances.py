@@ -40,7 +40,7 @@ def ones_tensor(order: int, dim: int) -> SymmetricTensor:
 
 
 def eta_shift(eta: float, B: SymmetricTensor) -> SymmetricTensor:
-    """The pencil member ``eta * identity - B`` matching B's shape."""
+    """The diagonal shift ``eta * identity - B`` matching B's shape."""
     return float(eta) * identity_tensor(B.order, B.dim) - B
 
 
@@ -62,14 +62,12 @@ def random_tensor(order: int, dim: int, seed: int) -> SymmetricTensor:
     return SymmetricTensor(order, dim, entries)
 
 
-def random_tensor_negative_diagonal(
-    order: int, dim: int, seed: int, value: float = -1.0
-) -> SymmetricTensor:
+def random_tensor_negative_diagonal(order: int, dim: int, seed: int) -> SymmetricTensor:
     """Same stream as :func:`random_tensor` but with the leading diagonal
-    entry forced to ``value`` (a one-entry copositivity refutation)."""
+    entry forced to -1 (a one-entry copositivity refutation)."""
     base = random_tensor(order, dim, seed)
     entries = dict(base.entries)
-    entries[(1,) * int(order)] = float(value)
+    entries[(1,) * int(order)] = -1.0
     return SymmetricTensor(order, dim, entries)
 
 

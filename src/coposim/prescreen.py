@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -17,13 +17,11 @@ from .tensor import SymmetricTensor, integer
 
 __all__ = [
     "DIAGONAL",
-    "PENCIL",
     "SUBTENSOR_SAMPLE",
     "ZERO_POINT_GRADIENT",
     "PrescreenReport",
     "barycentric_lattice",
     "diagonal_check",
-    "pencil_refute",
     "run_prescreen",
     "subtensor_sample_refute",
     "zero_point_gradient_check",
@@ -32,7 +30,6 @@ __all__ = [
 DIAGONAL = "Diagonal"
 ZERO_POINT_GRADIENT = "ZeroPointGradient"
 SUBTENSOR_SAMPLE = "SubtensorSample"
-PENCIL = "Pencil"
 
 
 @dataclass(frozen=True)
@@ -40,8 +37,8 @@ class PrescreenReport:
     """Outcome of one refuter (or of the whole battery).
 
     A failed report names the violated condition and carries the witness:
-    a point of the standard simplex for the single-tensor checks, or the
-    offending pair of points for the pencil check.
+    a point of the standard simplex, or for the zero-point gradient check
+    the zero together with the unit direction in which the form decreases.
     """
 
     passed: bool
@@ -175,52 +172,13 @@ def subtensor_sample_refute(
     return PrescreenReport(True, J=J)
 
 
-def _default_pencil_samples(dim: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    points = list(barycentric_lattice(dim, 2))
-    return [(u, v) for u in points for v in points]
-
-
-def pencil_refute(
-    A: SymmetricTensor,
-    B: SymmetricTensor,
-    samples: Sequence[tuple] | None = None,
-    tau: float = 1e-12,
-) -> PrescreenReport:
-    """Refute every convex combination of two tensors at once: a pair of
-    nonnegative points where both tensors have a negative form-value sum
-    rules out copositivity of the whole segment between them.
-
-    With no samples supplied, all ordered pairs from the coarse (closed,
-    denominator-2) barycentric lattice are tried; the check is best-effort
-    either way.
-    """
-    if A.order != B.order or A.dim != B.dim:
-        raise ValueError(
-            f"shape mismatch: ({A.order}, {A.dim}) vs ({B.order}, {B.dim})"
-        )
-    if samples is None:
-        samples = _default_pencil_samples(A.dim)
-    for u, v in samples:
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        sum_a = A.form(u) + A.form(v)
-        if sum_a >= -tau:
-            continue
-        sum_b = B.form(u) + B.form(v)
-        if sum_b < -tau:
-            return PrescreenReport(False, violated_condition=PENCIL, witness=(u, v))
-    return PrescreenReport(True)
-
-
 def run_prescreen(
     A: SymmetricTensor,
     grid_depth: int = 2,
-    zero_point=None,
     tau: float = 1e-12,
 ) -> PrescreenReport:
     """Fixed-order refuter battery, stopping at the first failure:
-    diagonal entries, then subtensor sampling on all pairs of indices, then
-    the zero-point gradient test when a zero of the form is supplied.
+    diagonal entries, then subtensor sampling on all pairs of indices.
 
     Singletons are not sampled: the only sample of a one-index subtensor is
     its diagonal entry, which the diagonal check has already passed.
@@ -230,10 +188,6 @@ def run_prescreen(
         return report
     for J in itertools.combinations(range(1, A.dim + 1), 2):
         report = subtensor_sample_refute(A, J, grid_depth, tau)
-        if not report.passed:
-            return report
-    if zero_point is not None:
-        report = zero_point_gradient_check(A, zero_point, tau)
         if not report.passed:
             return report
     return PrescreenReport(True)

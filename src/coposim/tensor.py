@@ -8,7 +8,7 @@ every sum over the dense index space is carried out over canonical keys
 weighted by the multinomial multiplicity ``m! / (c_1! ... c_n!)``, where
 ``c_i`` counts how often index ``i`` appears in the key.
 
-Summations that feed sign decisions (form values, inner products) use
+Summations that feed sign decisions (form values, contractions) use
 ``math.fsum`` so accumulation error cannot flip a comparison against zero.
 
 The same canonical ordering indexes a cell's Bernstein coefficients: the
@@ -317,15 +317,6 @@ class SymmetricTensor:
         terms = self._terms_at(columns, weights, x)
         return np.array([math.fsum(terms[a:b]) for a, b in zip(bounds, bounds[1:])])
 
-    def inner(self, other: "SymmetricTensor") -> float:
-        """Entrywise inner product over the full dense index space
-        (multiplicities counted)."""
-        self._check_shape(other)
-        keys = self._entries.keys() & other._entries.keys()
-        return math.fsum(
-            multiplicity(k) * self._entries[k] * other._entries[k] for k in sorted(keys)
-        )
-
     def norm(self) -> float:
         """Frobenius norm over the dense index space.  Entries are scaled
         by the largest magnitude before squaring, so the norm of a nonzero
@@ -355,8 +346,8 @@ class SymmetricTensor:
             ],
         }
 
-    def to_json(self, **dumps_kwargs) -> str:
-        return json.dumps(self.to_json_dict(), **dumps_kwargs)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "SymmetricTensor":

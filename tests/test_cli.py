@@ -162,6 +162,25 @@ def test_spectral_subcommand(capsys):
     assert record["rho"] == pytest.approx(64.0, abs=1e-6)
 
 
+def test_spectral_budget_exhausted_is_undecided(capsys, tmp_path):
+    code, record, err = run_json(
+        capsys, "spectral", "--gen", "random", "--m", "3", "--n", "3", "--max-iter", "1"
+    )
+    assert code == EXIT_UNDECIDED
+    assert record["rho"] is None and record["iterations"] == 1
+    assert 0.0 < record["lower"] < record["upper"]
+    assert "--max-iter" in err and "--tol" in err
+
+    # one off-diagonal entry: the reducibility restart leaves the upper
+    # bound infinite, which is written as null so the record stays JSON
+    path = tmp_path / "reducible.json"
+    path.write_text('{"order": 3, "dim": 3, "entries": [{"idx": [1, 1, 2], "val": 1.0}]}')
+    code, out, _ = run(capsys, "spectral", str(path), "--max-iter", "1")
+    assert code == EXIT_UNDECIDED
+    assert json.loads(out) == {"rho": None, "lower": 0.0, "upper": None, "iterations": 1}
+    assert "Infinity" not in out
+
+
 def test_prescreen_subcommand(capsys):
     code, record, _ = run_json(
         capsys, "prescreen", "--gen", "example3-b", "--m", "3", "--n", "3", "--seed", "7"
@@ -267,6 +286,24 @@ def test_usage_errors(capsys, tmp_path):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == EXIT_USAGE, argv
+
+    # seeds live in [0, 2**64): larger ones used to reach the Philox key
+    # check (exit 65), directly or through table's seed + trial
+    random = ["--gen", "random", "--m", "3", "--n", "3"]
+    for seed in (2**64, 2**128, 2**128 - 5):
+        for argv in (["detect", *random], ["gen", *random], ["table", "2"], ["table", "3"]):
+            with pytest.raises(SystemExit) as info:
+                main([*argv, "--seed", str(seed)])
+            assert info.value.code == EXIT_USAGE, (argv, seed)
+            assert "--seed" in capsys.readouterr().err
+    code, _, _ = run(capsys, "gen", *random, "--seed", str(2**64 - 1))
+    assert code == 0
+
+    # gen needs a generator, with or without a file argument
+    for argv in (["gen"], ["gen", str(tmp_path / "any.json")]):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE, argv
+        assert out == "" and "--gen NAME" in err
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])

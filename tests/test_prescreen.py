@@ -14,7 +14,6 @@ from coposim import (
     identity_tensor,
     motzkin_tensor,
     ones_tensor,
-    pencil_refute,
     random_tensor,
     random_tensor_negative_diagonal,
     run_prescreen,
@@ -22,9 +21,13 @@ from coposim import (
     verify_witness,
     zero_point_gradient_check,
 )
-from coposim.prescreen import DIAGONAL, PENCIL, SUBTENSOR_SAMPLE, ZERO_POINT_GRADIENT
+from coposim.prescreen import DIAGONAL, SUBTENSOR_SAMPLE, ZERO_POINT_GRADIENT
 
 from _brute import random_symmetric, subtensor_prescreen
+
+# Zero at e1, where the contraction is (0, -0.1): the form slopes down
+# into the simplex.
+SLOPED = SymmetricTensor(3, 2, {(1, 1, 2): -0.1, (1, 2, 2): 1.0, (2, 2, 2): 1.0})
 
 
 def test_barycentric_lattice():
@@ -110,33 +113,6 @@ def test_subtensor_sample_refute():
             subtensor_sample_refute(E, J)
 
 
-def test_pencil_refute():
-    E = ones_tensor(3, 3)
-    e1 = np.array([1.0, 0.0, 0.0])
-    report = pencil_refute(-1.0 * E, -1.0 * E, [(e1, e1)])
-    assert not report.passed
-    assert report.violated_condition == PENCIL
-    u, v = report.witness
-    assert np.array_equal(u, e1) and np.array_equal(v, e1)
-
-    # one nonnegative member protects the whole segment
-    assert pencil_refute(E, -1.0 * E).passed
-    assert pencil_refute(eta_shift(1.0, E), E).passed
-
-    with pytest.raises(ValueError):
-        pencil_refute(E, ones_tensor(3, 4))
-
-
-def test_pencil_witness_reverifies():
-    A = -1.0 * ones_tensor(3, 3)
-    B = -2.0 * identity_tensor(3, 3)
-    report = pencil_refute(A, B)
-    assert not report.passed
-    u, v = report.witness
-    assert A.form(u) + A.form(v) < -1e-12
-    assert B.form(u) + B.form(v) < -1e-12
-
-
 def test_run_prescreen_order_and_short_circuit():
     # fails both the diagonal and subtensor checks; diagonal runs first
     bad_diagonal = random_tensor_negative_diagonal(3, 3, 1)
@@ -151,20 +127,10 @@ def test_run_prescreen_order_and_short_circuit():
     assert verify_witness(A, report.witness)
 
     assert run_prescreen(ones_tensor(3, 3)).passed
-
-    # the gradient stage only runs when a zero is supplied
-    M = motzkin_tensor()
-    assert run_prescreen(M).passed
-    assert run_prescreen(M, zero_point=np.full(3, 1 / 3)).passed
-    # mild enough that the sampling stages pass, but the contraction at the
-    # supplied zero still points outward
-    refutable = SymmetricTensor(
-        3, 2, {(1, 1, 2): -0.1, (1, 2, 2): 1.0, (2, 2, 2): 1.0}
-    )
-    assert run_prescreen(refutable).passed
-    report = run_prescreen(refutable, zero_point=np.array([1.0, 0.0]))
-    assert not report.passed
-    assert report.violated_condition == ZERO_POINT_GRADIENT
+    assert run_prescreen(motzkin_tensor()).passed
+    # mild enough that the sampling stages pass; only the standalone
+    # zero-point check refutes it (see test_report_json)
+    assert run_prescreen(SLOPED).passed
 
 
 def test_prescreen_failures_imply_not_copositive():
@@ -229,6 +195,8 @@ def test_report_json():
     assert obj["passed"] is False
     assert obj["violated_condition"] == DIAGONAL
     assert obj["witness"] == [1.0, 0.0, 0.0]
-    paired = pencil_refute(-1.0 * ones_tensor(3, 3), -1.0 * ones_tensor(3, 3))
-    obj = paired.to_json_dict()
-    assert isinstance(obj["witness"], list) and len(obj["witness"]) == 2
+    # the zero-point check's witness is a (point, direction) pair
+    obj = zero_point_gradient_check(SLOPED, np.array([1.0, 0.0])).to_json_dict()
+    assert obj["passed"] is False
+    assert obj["violated_condition"] == ZERO_POINT_GRADIENT
+    assert obj["witness"] == [[1.0, 0.0], [0.0, 1.0]]

@@ -152,15 +152,11 @@ def test_vector_space_operations():
         I + ones_tensor(3, 2)
 
 
-def test_inner_and_norm_examples():
+def test_norm_examples():
     I = identity_tensor(3, 3)
     E = ones_tensor(3, 3)
-    assert I.inner(I) == pytest.approx(3.0)
     assert I.norm() == pytest.approx(math.sqrt(3.0))
-    assert I.inner(E) == pytest.approx(3.0)
     assert E.norm() == pytest.approx(27 ** 0.5)
-    with pytest.raises(ValueError):
-        I.inner(ones_tensor(4, 3))
 
 
 def test_norm_is_finite_at_extreme_scales():
@@ -279,8 +275,6 @@ def test_brute_force_equivalence():
         x = rng.uniform(-1, 1, size=n)
         assert close(A.form(x), brute_form(dense, x))
         assert np.allclose(A.gradient_form(x), brute_gradient(dense, x), atol=1e-10)
-        B = random_symmetric(rng, m, n)
-        assert close(A.inner(B), brute_inner(dense, dense_of(B)))
 
 
 @pytest.mark.parametrize("m, n", [(3, 3), (4, 4), (6, 3), (6, 5), (4, 8), (3, 10), (22, 3)])
