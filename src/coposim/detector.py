@@ -12,10 +12,19 @@ verdict.
 
 A cell is a read-only ``(n, n)`` array with one vertex per row; the root
 is the identity.  Bisecting edge ``(p, q)`` makes two children, each the
-parent with one endpoint's row replaced by the edge midpoint.  A child's
-coefficients come from its parent's by midpoint subdivision, and it
-inherits all vertex values but the midpoint's, so a bisection costs one
-form evaluation and no dense contraction.
+parent with one endpoint's row replaced by the edge midpoint.  Both
+children's coefficients come from their parent's by midpoint subdivision
+in one gather, and they inherit all vertex values but the midpoint's, so
+a bisection costs one form evaluation and no dense contraction.
+
+A frontier entry also carries the cell's ``(n, n)`` matrix of squared
+edge lengths, so no bisection recomputes it.  A bisection computes one
+row, the squared distances from every vertex to the midpoint, and each
+child takes it as the row and column of the vertex it replaced.  Every
+entry is the ``diff @ diff`` of its two vertex rows, bit for bit, and the
+edge bisected is the first maximum of the upper triangle in lexicographic
+order.  Past depth 26 squared lengths round, so these exact bits and this
+tie-break are what keep the search the same cell for cell.
 
 All sign decisions go through a single tolerance ``tau``: "negative" means
 below ``-tau``, "nonnegative" means at least ``-tau``.  With the cellwise
@@ -35,6 +44,7 @@ and ``min_vertex_value`` is the smallest vertex value of ``A`` itself.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -128,21 +138,19 @@ class Verdict:
         }
 
 
-def _longest_edge(V: np.ndarray) -> tuple[int, int, float]:
-    """Lexicographically first pair (p, q), p < q, of maximal squared
-    length among the rows of ``V``, and that length.  One ``diff @ diff``
-    per pair and a strict comparison, pairs in lexicographic order: past
-    depth 26 squared lengths round, and another summation order could
-    break a tie the other way."""
-    n = len(V)
-    best = (0, 1, -1.0)
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            diff = V[p] - V[q]
-            d2 = float(diff @ diff)
-            if d2 > best[2]:
-                best = (p, q, d2)
-    return best
+@functools.lru_cache(maxsize=64)
+def _upper_triangle(n: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Flat indices into an ``(n, n)`` matrix of its pairs ``p < q``, in
+    lexicographic order, and those pairs."""
+    rows, cols = np.triu_indices(n, 1)
+    return rows * n + cols, list(zip(rows.tolist(), cols.tolist()))
+
+
+def _row_dots(D: np.ndarray) -> np.ndarray:
+    """``D[i] @ D[i]`` for every row, bit for bit: a stack of 1-by-1
+    matmuls sums each row in the order ``diff @ diff`` does, where
+    ``einsum`` may not."""
+    return (D[:, None, :] @ D[:, :, None]).ravel()
 
 
 def detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdict:
@@ -164,10 +172,15 @@ def detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdict:
     floor = -cfg.sigma - tau
     root = np.eye(n)
     root.setflags(write=False)
-    # Frontier entries are (cell, Bernstein coefficients, vertex values,
-    # depth), popped last in first out.  The root's coefficients are A's
-    # entries: its barycentric coordinates are the coordinates themselves.
-    frontier = [(root, A.coefficient_vector(), tuple(A.form(u) for u in root), 0)]
+    upper, pairs = _upper_triangle(n)
+    # Frontier entries are (cell, squared edge lengths, Bernstein
+    # coefficients, vertex values, depth), popped last in first out.  The
+    # root's coefficients are A's entries: its barycentric coordinates are
+    # the coordinates themselves.  Its squared edge lengths are all 2.0,
+    # exactly what ``diff @ diff`` gives on the identity's rows.
+    frontier = [
+        (root, 2.0 - 2.0 * root, A.coefficient_vector(), tuple(A.form(u) for u in root), 0)
+    ]
     iterations = 0
     max_depth = 0
     min_vertex = math.inf
@@ -188,13 +201,11 @@ def detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdict:
     while frontier:
         if iterations >= cfg.max_iterations:
             return verdict(VerdictKind.UNDECIDED)
-        cell, coefficients, values, depth = frontier.pop()
+        cell, lengths, coefficients, values, depth = frontier.pop()
         iterations += 1
-        edge = None
-        if cfg.min_diameter > 0.0:
-            edge = _longest_edge(cell)
-            if math.sqrt(edge[2]) < cfg.min_diameter:
-                return verdict(VerdictKind.UNDECIDED)
+        # The diagonal is zero, so the largest entry is the longest edge's.
+        if cfg.min_diameter > 0.0 and math.sqrt(lengths.max()) < cfg.min_diameter:
+            return verdict(VerdictKind.UNDECIDED)
         lowest = min(values)
         min_vertex = min(min_vertex, lowest)
         if lowest < -tau:
@@ -204,19 +215,27 @@ def detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdict:
             if certified is not None:
                 certified.append(cell)
             continue
-        p, q, _ = edge or _longest_edge(cell)
+        # The first maximum in lexicographic order, as a strict scan finds it.
+        p, q = pairs[int(lengths.take(upper).argmax())]
         midpoint = 0.5 * (cell[p] + cell[q])
         # Vertex values are never read off the coefficients: the midpoint
         # gets an exact form evaluation.
         mid = A.form(midpoint)
+        # Squared distances from every vertex to the midpoint: the row and
+        # column of the vertex the midpoint replaces.
+        row = _row_dots(cell - midpoint)
+        children = split_coefficients(coefficients, m, n, p, q)
         # The first child replaces p, the second q; the second is popped next.
-        for moved, kept in ((p, q), (q, p)):
+        for child_coefficients, moved in zip(children, (p, q)):
             child = cell.copy()
             child[moved] = midpoint
             child.setflags(write=False)
+            child_lengths = lengths.copy()
+            child_lengths[moved] = row
+            child_lengths[:, moved] = row
+            child_lengths[moved, moved] = 0.0
             child_values = values[:moved] + (mid,) + values[moved + 1 :]
-            child_coefficients = split_coefficients(coefficients, m, n, moved, kept)
-            frontier.append((child, child_coefficients, child_values, depth + 1))
+            frontier.append((child, child_lengths, child_coefficients, child_values, depth + 1))
         max_depth = max(max_depth, depth + 1)
     return verdict(
         VerdictKind.COPOSITIVE,

@@ -107,13 +107,15 @@ def zero_point_gradient_check(
     entrywise nonnegative one-slot contraction; a negative component
     refutes copositivity.
 
-    ``x`` must be nonnegative and is rescaled to unit coordinate sum; the
-    check only applies when the form vanishes there (within ``tau``), and
-    raises otherwise.
+    ``x`` must be finite and nonnegative and is rescaled to unit
+    coordinate sum; the check only applies when the form vanishes there
+    (within ``tau``), and raises otherwise.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (A.dim,):
         raise ValueError(f"point shape {x.shape} does not match dim {A.dim}")
+    if not np.isfinite(x).all():
+        raise ValueError("point must be finite")
     if np.min(x) < -tau:
         raise ValueError("point must be nonnegative")
     total = float(x.sum())
@@ -157,7 +159,7 @@ def subtensor_sample_refute(
         raise ValueError("index subset must be nonempty")
     if J[0] < 1 or J[-1] > A.dim:
         raise ValueError(f"index subset {list(J)} out of range 1..{A.dim}")
-    grid_depth = int(grid_depth)
+    grid_depth = integer(grid_depth, "grid_depth")
     if grid_depth < 1:
         raise ValueError(f"grid_depth must be >= 1, got {grid_depth}")
     d = grid_depth + len(J) - 1

@@ -14,9 +14,9 @@ Summations that feed sign decisions (form values, contractions) use
 The same canonical ordering indexes a cell's Bernstein coefficients: the
 coefficients of the form in the barycentric coordinates of a simplex,
 listed for every canonical key (zeros included).
-:func:`split_coefficients` derives a child cell's coefficients from its
-parent's by midpoint subdivision (de Casteljau in the simplicial Bernstein
-basis), with no dense array.
+:func:`split_coefficients` derives both children's coefficients from
+their parent's by midpoint subdivision (de Casteljau in the simplicial
+Bernstein basis), in one gather and with no dense array.
 """
 
 from __future__ import annotations
@@ -375,23 +375,26 @@ class SymmetricTensor:
 @functools.lru_cache(maxsize=256)
 def _split_table(order: int, dim: int, p: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gather plan for :func:`split_coefficients`, built the first time the
-    edge is split.  Row ``t`` of the child takes ``weight * parent[source]``
-    over its entries: a key with ``k`` copies of ``p`` draws, for each
-    ``j``, on the key with ``j`` of them replaced by ``q``, with weight
-    ``C(k, j) / 2**k`` (exact in binary).  Keys without ``p`` copy over."""
-    if not (0 <= p < dim and 0 <= q < dim) or p == q:
-        raise ValueError(f"({p}, {q}) is not an edge of a {dim}-vertex cell")
+    edge ``(p, q)``, ``p < q``, is split.  Entry ``t`` of the flattened
+    ``(2, K)`` output takes ``weight * parent[source]`` over its entries:
+    child ``0`` replaces ``p`` and child ``1`` replaces ``q``.  In the child
+    that replaces ``a`` by the midpoint of ``(a, b)``, a key with ``k``
+    copies of ``a`` draws, for each ``j``, on the key with ``j`` of them
+    replaced by ``b``, with weight ``C(k, j) / 2**k`` (exact in binary).
+    Keys without ``a`` copy over."""
+    if not 0 <= p < q < dim:
+        raise ValueError(f"({p}, {q}) is not an edge p < q of a {dim}-vertex cell")
     keys = list(canonical_keys(order, dim))
     index = {key: t for t, key in enumerate(keys)}
-    P, Q = p + 1, q + 1
     rows, sources, weights = [], [], []
-    for t, key in enumerate(keys):
-        k = key.count(P)
-        rest = tuple(i for i in key if i != P)
-        for j in range(k + 1):
-            rows.append(t)
-            sources.append(index[tuple(sorted(rest + (Q,) * j + (P,) * (k - j)))])
-            weights.append(math.comb(k, j) / 2**k)
+    for child, (a, b) in enumerate(((p + 1, q + 1), (q + 1, p + 1))):
+        for t, key in enumerate(keys, start=child * len(keys)):
+            k = key.count(a)
+            rest = tuple(i for i in key if i != a)
+            for j in range(k + 1):
+                rows.append(t)
+                sources.append(index[tuple(sorted(rest + (b,) * j + (a,) * (k - j)))])
+                weights.append(math.comb(k, j) / 2**k)
     table = (np.array(rows, dtype=np.intp), np.array(sources, dtype=np.intp), np.array(weights))
     for array in table:
         array.setflags(write=False)
@@ -399,16 +402,19 @@ def _split_table(order: int, dim: int, p: int, q: int) -> tuple[np.ndarray, np.n
 
 
 def split_coefficients(coefficients: np.ndarray, order: int, dim: int, p: int, q: int) -> np.ndarray:
-    """Bernstein coefficients of the child cell that replaces vertex ``p``
-    (0-based) by the midpoint of edge ``(p, q)``, from the parent's.
+    """Bernstein coefficients of both children of bisecting edge ``(p, q)``
+    (0-based, ``p < q``) at its midpoint, from the parent's, as a ``(2, K)``
+    array: row 0 is the child that replaces vertex ``p`` by the midpoint,
+    row 1 the child that replaces ``q``.
 
-    ``coefficients`` lists the parent's coefficient for every canonical key
-    of shape ``(order, dim)`` in lexicographic order, as
+    ``coefficients`` lists the parent's ``K`` coefficients, one for every
+    canonical key of shape ``(order, dim)`` in lexicographic order, as
     :meth:`SymmetricTensor.coefficient_vector` does for the standard
     simplex.  Each child coefficient is a convex combination of at most
     ``order + 1`` parent coefficients, so the cost is O(keys * order) and
-    rounding cannot grow the coefficients' range.  The other child of the
-    split is ``split_coefficients(coefficients, order, dim, q, p)``.
+    rounding cannot grow the coefficients' range.  Both rows come from one
+    gather and one ``bincount``.
     """
     rows, sources, weights = _split_table(order, dim, p, q)
-    return np.bincount(rows, weights=weights * coefficients[sources], minlength=len(coefficients))
+    K = len(coefficients)
+    return np.bincount(rows, weights=weights * coefficients[sources], minlength=2 * K).reshape(2, K)

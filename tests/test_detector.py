@@ -17,6 +17,7 @@ from coposim import (
     verify_witness,
 )
 from coposim.cli import main
+from coposim.detector import _row_dots
 
 from _brute import congruence, contains, dense_of, random_simplex_point, random_symmetric
 
@@ -306,3 +307,19 @@ def test_deep_random_search_runs_to_completion():
     assert verdict.kind is VerdictKind.COPOSITIVE
     assert verdict.iterations == 1847
     assert verdict.max_depth == 33
+
+
+def test_row_dots_match_the_pairwise_dot_bit_for_bit():
+    # The carried squared edge lengths are only the search's edge lengths
+    # if every row dot sums as ``diff @ diff`` does.  Deep dyadic rows
+    # round: a correctly rounded sum differs from the dot on some rows, so
+    # a numpy or BLAS build that changes the summation order fails here.
+    rng = np.random.default_rng(15)
+    rounded = 0
+    for n in range(2, 18):
+        for bits in (20, 30, 40, 50):
+            D = rng.integers(-(2**bits), 2**bits, size=(400, n), endpoint=True) / 2.0**bits
+            expected = np.array([d @ d for d in D])
+            assert np.array_equal(_row_dots(D), expected), (n, bits)
+            rounded += sum(math.fsum(d * d) != dot for d, dot in zip(D, expected))
+    assert rounded > 0

@@ -69,6 +69,10 @@ def test_zero_point_gradient_check_requires_zero():
         zero_point_gradient_check(identity_tensor(3, 3), np.zeros(3))
     with pytest.raises(ValueError):
         zero_point_gradient_check(identity_tensor(3, 3), np.array([-1.0, 1.0, 1.0]))
+    # a non-finite point is no zero of the form, however it rescales
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            zero_point_gradient_check(motzkin_tensor(), np.array([bad, 0.0, 0.0]))
 
 
 def test_zero_point_gradient_check_refutes():
@@ -108,6 +112,10 @@ def test_subtensor_sample_refute():
         subtensor_sample_refute(E, [])
     with pytest.raises(ValueError):
         subtensor_sample_refute(E, [1], grid_depth=0)
+    for depth in (2.7, True, "2"):
+        with pytest.raises(ValueError, match="grid_depth"):
+            subtensor_sample_refute(E, [1, 2], grid_depth=depth)
+    assert subtensor_sample_refute(E, [1, 2], grid_depth=2.0).passed
     for J in ([0, 1], [2, 4], [-1], [1.5, 2], [True, 2]):
         with pytest.raises(ValueError):
             subtensor_sample_refute(E, J)

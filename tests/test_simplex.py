@@ -208,6 +208,8 @@ def test_frontier_bisection_discipline():
         (eta_shift(9.01, ones_tensor(3, 3)), 59),
         (eta_shift(19.0, ones_tensor(3, 3)), 11),
         (_rho_plus_one(3, 4, 0), 87),
+        # Ends at depth 33, past the depth where squared lengths round.
+        (_rho_plus_one(6, 5, 0), 1847),
     ):
         dense = dense_of(A)
         expected, visited = [], 0
@@ -220,7 +222,7 @@ def test_frontier_bisection_discipline():
                 expected.append(cell)
             else:
                 stack.extend(bisect(cell))
-        verdict = _certified(A)
+        verdict = _certified(A, max_iterations=visits)
         assert verdict.iterations == visited == visits
         assert [cell.tolist() for cell in verdict.certified_cells] == [
             cell.tolist() for cell in expected

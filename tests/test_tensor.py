@@ -294,7 +294,8 @@ def test_split_coefficients_track_the_congruence():
     # coefficients: at most 2m + 1 roundings of eps/2 relative to max|A|,
     # so each level adds under (m + 1) * eps * max|A| to the carried
     # error.  The dense reference adds about m * n such roundings.  The
-    # bound is fixed from eps, the shape and the depth alone.
+    # bound is fixed from eps, the shape and the depth alone.  Both
+    # children are checked; the walk goes on in one of them at random.
     eps = np.finfo(float).eps
     depth = 40
     rng = np.random.default_rng(53)
@@ -307,14 +308,23 @@ def test_split_coefficients_track_the_congruence():
             c = A.coefficient_vector()
             assert np.array_equal(c, congruence(dense, V).coefficient_vector())
             for level in range(1, depth + 1):
-                p, q = (int(i) for i in rng.choice(n, size=2, replace=False))
-                V[:, p] = 0.5 * (V[:, p] + V[:, q])
-                c = split_coefficients(c, m, n, p, q)
-                reference = congruence(dense, V).coefficient_vector()
+                p, q = sorted(int(i) for i in rng.choice(n, size=2, replace=False))
+                children = split_coefficients(c, m, n, p, q)
+                assert children.shape == (2, len(c))
                 tol = (level * (m + 1) + m * n) * eps * scale
-                assert np.max(np.abs(c - reference)) <= tol
-    with pytest.raises(ValueError):
-        split_coefficients(ones_tensor(3, 3).coefficient_vector(), 3, 3, 1, 1)
+                mid = 0.5 * (V[:, p] + V[:, q])
+                for row, moved in enumerate((p, q)):
+                    W = V.copy()
+                    W[:, moved] = mid
+                    reference = congruence(dense, W).coefficient_vector()
+                    assert np.max(np.abs(children[row] - reference)) <= tol
+                row = int(rng.integers(2))
+                V[:, (p, q)[row]] = mid
+                c = children[row]
+    coefficients = ones_tensor(3, 3).coefficient_vector()
+    for p, q in ((1, 1), (2, 1), (0, 3), (-1, 2)):
+        with pytest.raises(ValueError):
+            split_coefficients(coefficients, 3, 3, p, q)
 
 
 def test_split_tables_are_built_on_demand_bounded_and_readonly():
@@ -333,6 +343,17 @@ def test_split_tables_are_built_on_demand_bounded_and_readonly():
 
     for array in _split_table(3, 4, 0, 2):
         assert not array.flags.writeable
+    # One table per unordered edge: all 136 edges of a 17-vertex cell stay
+    # cached, so a second sweep over them builds nothing.
+    edges = list(itertools.combinations(range(17), 2))
+    assert len(edges) == 136
+    for p, q in edges:
+        _split_table(2, 17, p, q)
+    before = _split_table.cache_info()
+    for p, q in edges:
+        _split_table(2, 17, p, q)
+    after = _split_table.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (136, 0)
 
 
 def test_nonfinite_entries_rejected():
