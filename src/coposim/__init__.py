@@ -18,7 +18,6 @@ from .detector import (
     verify_witness,
 )
 from .instances import (
-    Monomial,
     choi_lam_tensor,
     eta_shift,
     from_polynomial,
@@ -32,7 +31,6 @@ from .instances import (
 )
 from .prescreen import (
     PrescreenReport,
-    barycentric_lattice,
     diagonal_check,
     run_prescreen,
     subtensor_sample_refute,
@@ -49,14 +47,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DetectorConfig",
-    "Monomial",
     "PowerIterationBudgetError",
     "PowerIterationResult",
     "PrescreenReport",
     "SymmetricTensor",
     "Verdict",
     "VerdictKind",
-    "barycentric_lattice",
     "canonical_key",
     "canonical_keys",
     "choi_lam_tensor",

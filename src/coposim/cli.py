@@ -35,16 +35,25 @@ EXIT_DATA = 65
 EXIT_NOINPUT = 66
 EXIT_INTERNAL = 70
 
-GENERATORS = (
-    "ones",
-    "identity",
-    "eta-ones",
-    "random",
-    "motzkin",
-    "robinson",
-    "choi-lam",
-    "example3-b",
-)
+# Per generator: the flags it reads, in the order they enter the input
+# record, and its builder.  Builders look ``instances.<name>`` up at call
+# time, so a wrapper installed on the module is the one called.
+GENERATORS = {
+    "ones": (("m", "n"), lambda a: instances.ones_tensor(a.m, a.n)),
+    "identity": (("m", "n"), lambda a: instances.identity_tensor(a.m, a.n)),
+    "eta-ones": (
+        ("m", "n", "eta"),
+        lambda a: instances.eta_shift(a.eta, instances.ones_tensor(a.m, a.n)),
+    ),
+    "random": (("m", "n", "seed"), lambda a: instances.random_tensor(a.m, a.n, a.seed)),
+    "motzkin": ((), lambda a: instances.motzkin_tensor()),
+    "robinson": ((), lambda a: instances.robinson_tensor()),
+    "choi-lam": ((), lambda a: instances.choi_lam_tensor()),
+    "example3-b": (
+        ("m", "n", "seed"),
+        lambda a: instances.random_tensor_negative_diagonal(a.m, a.n, a.seed),
+    ),
+}
 
 
 class UsageError(Exception):
@@ -91,43 +100,15 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _require(args, *names):
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise UsageError(f"--gen {args.gen} requires --{name.replace('_', '-')}")
-
-
 def _make_tensor(args) -> tuple[SymmetricTensor, dict]:
-    name = args.gen
-    descriptor: dict = {"generator": name}
-    if name in ("ones", "identity", "eta-ones", "random", "example3-b"):
-        _require(args, "m", "n")
-        descriptor.update(m=args.m, n=args.n)
-    if name == "ones":
-        return instances.ones_tensor(args.m, args.n), descriptor
-    if name == "identity":
-        return instances.identity_tensor(args.m, args.n), descriptor
-    if name == "eta-ones":
-        _require(args, "eta")
-        descriptor.update(eta=args.eta)
-        base = instances.ones_tensor(args.m, args.n)
-        return instances.eta_shift(args.eta, base), descriptor
-    if name == "random":
-        descriptor.update(seed=args.seed)
-        return instances.random_tensor(args.m, args.n, args.seed), descriptor
-    if name == "example3-b":
-        descriptor.update(seed=args.seed)
-        return (
-            instances.random_tensor_negative_diagonal(args.m, args.n, args.seed),
-            descriptor,
-        )
-    if name == "motzkin":
-        return instances.motzkin_tensor(), descriptor
-    if name == "robinson":
-        return instances.robinson_tensor(), descriptor
-    if name == "choi-lam":
-        return instances.choi_lam_tensor(), descriptor
-    raise UsageError(f"unknown generator {name!r}")
+    flags, build = GENERATORS[args.gen]
+    descriptor: dict = {"generator": args.gen}
+    for flag in flags:
+        value = getattr(args, flag, None)
+        if value is None:
+            raise UsageError(f"--gen {args.gen} requires --{flag}")
+        descriptor[flag] = value
+    return build(args), descriptor
 
 
 def _load_tensor(args) -> tuple[SymmetricTensor, dict]:
@@ -285,10 +266,6 @@ TABLE3_REFERENCE = {"A": (1, 1, 10, 0), "B": (1, 1, 0, 10)}
 TRIALS = 10
 
 
-def _verdict_label(verdict: Verdict) -> str:
-    return verdict.to_json_dict()["verdict"]
-
-
 def _table1(cfg: DetectorConfig, seed: int) -> list[dict]:
     rows = []
     for m, n, rho, eta, ref_it, ref_result in TABLE1_ROWS:
@@ -302,19 +279,30 @@ def _table1(cfg: DetectorConfig, seed: int) -> list[dict]:
                 "eta": eta,
                 "iterations": verdict.iterations,
                 "ref_iterations": ref_it,
-                "result": _verdict_label(verdict),
+                "result": verdict.to_json_dict()["verdict"],
                 "ref_result": ref_result,
             }
         )
     return rows
 
 
-def _tally(verdicts: list[Verdict]) -> tuple[int, int, int, int, int]:
+def _tally_row(m: int, n: int, column: str, label: str, verdicts: list[Verdict], ref) -> dict:
+    """One row of Table 2 or 3: iteration range and verdict counts of the
+    trials, beside the reference ``(min IT, max IT, yes, no)``."""
     its = [v.iterations for v in verdicts]
     n_yes = sum(1 for v in verdicts if v.kind is VerdictKind.COPOSITIVE)
     n_no = sum(1 for v in verdicts if v.kind is VerdictKind.NOT_COPOSITIVE)
-    n_und = len(verdicts) - n_yes - n_no
-    return min(its), max(its), n_yes, n_no, n_und
+    return {
+        "m": m,
+        "n": n,
+        column: label,
+        "min_it": min(its),
+        "max_it": max(its),
+        "n_yes": n_yes,
+        "n_no": n_no,
+        "n_undecided": len(verdicts) - n_yes - n_no,
+        "ref": {"min_it": ref[0], "max_it": ref[1], "n_yes": ref[2], "n_no": ref[3]},
+    }
 
 
 def _table2(cfg: DetectorConfig, seed: int) -> list[dict]:
@@ -327,20 +315,8 @@ def _table2(cfg: DetectorConfig, seed: int) -> list[dict]:
                 detect(instances.eta_shift(rho + offset, B), cfg)
                 for B, rho in zip(tensors, radii)
             ]
-            min_it, max_it, n_yes, n_no, n_und = _tally(verdicts)
-            ref = TABLE2_REFERENCE[(m, n)][offset]
             rows.append(
-                {
-                    "m": m,
-                    "n": n,
-                    "eta": label,
-                    "min_it": min_it,
-                    "max_it": max_it,
-                    "n_yes": n_yes,
-                    "n_no": n_no,
-                    "n_undecided": n_und,
-                    "ref": {"min_it": ref[0], "max_it": ref[1], "n_yes": ref[2], "n_no": ref[3]},
-                }
+                _tally_row(m, n, "eta", label, verdicts, TABLE2_REFERENCE[(m, n)][offset])
             )
     return rows
 
@@ -353,50 +329,27 @@ def _table3(cfg: DetectorConfig, seed: int) -> list[dict]:
             ("B", instances.random_tensor_negative_diagonal),
         ):
             verdicts = [detect(make(m, n, seed + trial), cfg) for trial in range(TRIALS)]
-            min_it, max_it, n_yes, n_no, n_und = _tally(verdicts)
-            ref = TABLE3_REFERENCE[label]
-            rows.append(
-                {
-                    "m": m,
-                    "n": n,
-                    "tensor": label,
-                    "min_it": min_it,
-                    "max_it": max_it,
-                    "n_yes": n_yes,
-                    "n_no": n_no,
-                    "n_undecided": n_und,
-                    "ref": {"min_it": ref[0], "max_it": ref[1], "n_yes": ref[2], "n_no": ref[3]},
-                }
-            )
+            rows.append(_tally_row(m, n, "tensor", label, verdicts, TABLE3_REFERENCE[label]))
     return rows
 
 
 def _print_rows(rows: list[dict]) -> None:
-    if not rows:
-        return
-    columns = list(rows[0].keys())
-    if "ref" in columns:
-        columns.remove("ref")
-        columns += ["ref_" + key for key in rows[0]["ref"]]
+    """Right-aligned columns; a row's ``ref`` dict becomes ``ref_*``
+    columns, and a missing value prints as ``-``."""
     formatted = []
     for row in rows:
         flat = dict(row)
-        ref = flat.pop("ref", None)
-        if ref:
-            flat.update({"ref_" + key: value for key, value in ref.items()})
+        flat.update({"ref_" + key: value for key, value in flat.pop("ref", {}).items()})
         formatted.append(
             {
-                key: ("-" if value is None else _fmt(value) if isinstance(value, float) else str(value))
+                key: "-" if value is None else _fmt(value) if isinstance(value, float) else str(value)
                 for key, value in flat.items()
             }
         )
-    widths = {
-        key: max(len(key), *(len(row.get(key, "None") or "-") for row in formatted))
-        for key in columns
-    }
-    print("  ".join(key.rjust(widths[key]) for key in columns))
+    widths = {key: max(len(key), *(len(row[key]) for row in formatted)) for key in formatted[0]}
+    print("  ".join(key.rjust(width) for key, width in widths.items()))
     for row in formatted:
-        print("  ".join((row.get(key) or "-").rjust(widths[key]) for key in columns))
+        print("  ".join(row[key].rjust(width) for key, width in widths.items()))
 
 
 def cmd_table(args) -> int:

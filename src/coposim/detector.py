@@ -1,21 +1,28 @@
 """Branch-and-bound copositivity test over the standard simplex.
 
-Each cell of the evolving simplicial partition carries its vertex values
-and its Bernstein coefficients: the coefficients of the form in the
-cell's barycentric coordinates.  The loop tests the vertex values first:
-one below ``-tau`` disproves copositivity, and that vertex is the
-witness.  Otherwise a smallest coefficient of at least ``-sigma - tau``
-certifies the cell, which is then dropped.  Any other cell is bisected at
-its longest edge, depth first.  An empty frontier certifies copositivity
-on the whole simplex; running out of budget returns an explicit undecided
-verdict.
+Each cell of the evolving simplicial partition carries its Bernstein
+coefficients: the coefficients of the form in the cell's barycentric
+coordinates.  The loop tests the vertex values first: one below ``-tau``
+disproves copositivity, and that vertex is the witness.  Otherwise a
+smallest coefficient of at least ``-sigma - tau`` certifies the cell,
+which is then dropped.  Any other cell is bisected at its longest edge,
+depth first.  An empty frontier certifies copositivity on the whole
+simplex; running out of budget returns an explicit undecided verdict.
 
 A cell is a read-only ``(n, n)`` array with one vertex per row; the root
 is the identity.  Bisecting edge ``(p, q)`` makes two children, each the
 parent with one endpoint's row replaced by the edge midpoint.  Both
 children's coefficients come from their parent's by midpoint subdivision
-in one gather, and they inherit all vertex values but the midpoint's, so
-a bisection costs one form evaluation and no dense contraction.
+in one gather, so a bisection costs one form evaluation and no dense
+contraction.
+
+A frontier entry carries a single vertex value: a child's is its new
+vertex's, the midpoint's.  The test stays exact, because the child's
+other vertices are its parent's, whose values were all at least ``-tau``
+and were folded into the running minimum when the parent was popped; so
+only the new vertex can refute the child or lower that minimum.  The
+root carries the smallest of its values, and the first vertex in list
+order below ``-tau`` if there is one.
 
 A frontier entry also carries the cell's ``(n, n)`` matrix of squared
 edge lengths, so no bisection recomputes it.  A bisection computes one
@@ -174,13 +181,13 @@ def detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdict:
     root.setflags(write=False)
     upper, pairs = _upper_triangle(n)
     # Frontier entries are (cell, squared edge lengths, Bernstein
-    # coefficients, vertex values, depth), popped last in first out.  The
-    # root's coefficients are A's entries: its barycentric coordinates are
-    # the coordinates themselves.  Its squared edge lengths are all 2.0,
-    # exactly what ``diff @ diff`` gives on the identity's rows.
-    frontier = [
-        (root, 2.0 - 2.0 * root, A.coefficient_vector(), tuple(A.form(u) for u in root), 0)
-    ]
+    # coefficients, carried vertex, its value, depth), popped last in first
+    # out.  The root's coefficients are A's entries: its barycentric
+    # coordinates are the coordinates themselves.  Its squared edge lengths
+    # are all 2.0, exactly what ``diff @ diff`` gives on the identity's rows.
+    values = [A.form(u) for u in root]
+    first = next((i for i, value in enumerate(values) if value < -tau), 0)
+    frontier = [(root, 2.0 - 2.0 * root, A.coefficient_vector(), first, min(values), 0)]
     iterations = 0
     max_depth = 0
     min_vertex = math.inf
@@ -201,16 +208,16 @@ def detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdict:
     while frontier:
         if iterations >= cfg.max_iterations:
             return verdict(VerdictKind.UNDECIDED)
-        cell, lengths, coefficients, values, depth = frontier.pop()
+        cell, lengths, coefficients, vertex, value, depth = frontier.pop()
         iterations += 1
         # The diagonal is zero, so the largest entry is the longest edge's.
         if cfg.min_diameter > 0.0 and math.sqrt(lengths.max()) < cfg.min_diameter:
             return verdict(VerdictKind.UNDECIDED)
-        lowest = min(values)
-        min_vertex = min(min_vertex, lowest)
-        if lowest < -tau:
-            i = next(i for i, value in enumerate(values) if value < -tau)
-            return verdict(VerdictKind.NOT_COPOSITIVE, witness=np.array(cell[i]))
+        # Only the carried vertex is new to this cell; its others were
+        # tested and folded in with its parent.
+        min_vertex = min(min_vertex, value)
+        if value < -tau:
+            return verdict(VerdictKind.NOT_COPOSITIVE, witness=np.array(cell[vertex]))
         if coefficients.min() >= floor:
             if certified is not None:
                 certified.append(cell)
@@ -234,8 +241,7 @@ def detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdict:
             child_lengths[moved] = row
             child_lengths[:, moved] = row
             child_lengths[moved, moved] = 0.0
-            child_values = values[:moved] + (mid,) + values[moved + 1 :]
-            frontier.append((child, child_lengths, child_coefficients, child_values, depth + 1))
+            frontier.append((child, child_lengths, child_coefficients, moved, mid, depth + 1))
         max_depth = max(max_depth, depth + 1)
     return verdict(
         VerdictKind.COPOSITIVE,

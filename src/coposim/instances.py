@@ -6,7 +6,6 @@ tensors built from homogeneous polynomials by symmetrization.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
@@ -15,7 +14,6 @@ import numpy as np
 from .tensor import SymmetricTensor, canonical_keys, integer, multiplicity
 
 __all__ = [
-    "Monomial",
     "choi_lam_tensor",
     "eta_shift",
     "from_polynomial",
@@ -71,60 +69,37 @@ def random_tensor_negative_diagonal(order: int, dim: int, seed: int) -> Symmetri
     return SymmetricTensor(order, dim, entries)
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """One term of a homogeneous polynomial: an exponent vector over the
-    ``n`` variables (summing to the degree) and its coefficient."""
-
-    exponents: tuple[int, ...]
-    coefficient: float
-
-    def __post_init__(self):
-        exponents = tuple(integer(e, "exponent") for e in self.exponents)
-        object.__setattr__(self, "exponents", exponents)
-        object.__setattr__(self, "coefficient", float(self.coefficient))
-        if any(e < 0 for e in self.exponents):
-            raise ValueError(f"exponents must be nonnegative, got {self.exponents}")
-
-
-def _as_monomial(spec) -> Monomial:
-    if isinstance(spec, Monomial):
-        return spec
-    exponents, coefficient = spec
-    return Monomial(tuple(exponents), coefficient)
-
-
 def from_polynomial(
-    order: int, dim: int, monomials: Iterable[Monomial | tuple[Sequence[int], float]]
+    order: int, dim: int, monomials: Iterable[tuple[Sequence[int], float]]
 ) -> SymmetricTensor:
-    """Symmetric tensor of a homogeneous polynomial.
+    """Symmetric tensor of a homogeneous polynomial given as
+    ``(exponents, coefficient)`` pairs, one per monomial.
 
-    Each monomial's coefficient is split equally across the distinct index
-    permutations of its exponent multiset, so the tensor's form reproduces
-    the polynomial exactly: the key for exponent vector ``a`` repeats index
-    ``i`` exactly ``a_i`` times and carries ``coeff * prod(a_i!) / m!``.
+    Each exponent vector has ``dim`` nonnegative integer entries (checked
+    by :func:`~coposim.tensor.integer`) summing to ``order``, and no two
+    are equal.  Each monomial's coefficient is split equally across the
+    distinct index permutations of its exponent multiset, so the tensor's
+    form reproduces the polynomial exactly: the key for exponent vector
+    ``a`` repeats index ``i`` exactly ``a_i`` times and carries
+    ``coeff * prod(a_i!) / m!``.
     """
     order = integer(order, "order")
     dim = integer(dim, "dim")
     entries: dict[tuple[int, ...], float] = {}
-    seen: set[tuple[int, ...]] = set()
-    for spec in monomials:
-        mono = _as_monomial(spec)
-        if len(mono.exponents) != dim:
+    for raw, coefficient in monomials:
+        exponents = tuple(integer(e, "exponent") for e in raw)
+        if any(e < 0 for e in exponents):
+            raise ValueError(f"exponents must be nonnegative, got {exponents}")
+        if len(exponents) != dim:
             raise ValueError(
-                f"exponent vector {mono.exponents} has length {len(mono.exponents)}, expected {dim}"
+                f"exponent vector {exponents} has length {len(exponents)}, expected {dim}"
             )
-        if sum(mono.exponents) != order:
-            raise ValueError(
-                f"exponents {mono.exponents} sum to {sum(mono.exponents)}, expected {order}"
-            )
-        if mono.exponents in seen:
-            raise ValueError(f"duplicate exponent vector {mono.exponents}")
-        seen.add(mono.exponents)
-        key = tuple(
-            i for i, e in enumerate(mono.exponents, start=1) for _ in repeat(None, e)
-        )
-        entries[key] = mono.coefficient / multiplicity(key)
+        if sum(exponents) != order:
+            raise ValueError(f"exponents {exponents} sum to {sum(exponents)}, expected {order}")
+        key = tuple(i for i, e in enumerate(exponents, start=1) for _ in repeat(None, e))
+        if key in entries:
+            raise ValueError(f"duplicate exponent vector {exponents}")
+        entries[key] = float(coefficient) / multiplicity(key)
     return SymmetricTensor(order, dim, entries)
 
 
@@ -144,7 +119,7 @@ def polynomial_from_json(source: str | Mapping) -> SymmetricTensor:
     monomials = []
     for item in raw:
         try:
-            monomials.append(Monomial(tuple(item["exponents"]), item["coeff"]))
+            monomials.append((tuple(item["exponents"]), float(item["coeff"])))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed monomial {item!r}") from exc
     return from_polynomial(order, dim, monomials)

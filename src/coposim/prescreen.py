@@ -2,12 +2,14 @@
 
 Each check can only ever *disprove* copositivity; a pass carries no
 certificate.  Every failure returns a witness that can be re-verified
-independently by the inequality that produced it.
+independently by the inequality that produced it.  Each check takes a
+sign tolerance ``tau``, which must be finite and nonnegative.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -20,7 +22,6 @@ __all__ = [
     "SUBTENSOR_SAMPLE",
     "ZERO_POINT_GRADIENT",
     "PrescreenReport",
-    "barycentric_lattice",
     "diagonal_check",
     "run_prescreen",
     "subtensor_sample_refute",
@@ -61,36 +62,24 @@ class PrescreenReport:
         }
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Positive integer compositions of ``total`` into ``parts`` parts, in
-    lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for bars in itertools.combinations(range(1, total), parts - 1):
-        cuts = (0,) + bars + (total,)
-        yield tuple(cuts[i + 1] - cuts[i] for i in range(parts))
+def _interior_lattice(dim: int, d: int) -> Iterator[np.ndarray]:
+    """Lattice points ``k / d`` of the open standard simplex: integer
+    ``k >= 1`` summing to ``d``, one composition per choice of ``dim - 1``
+    cuts of ``1..d-1``, in lexicographic order."""
+    for bars in itertools.combinations(range(1, d), dim - 1):
+        cuts = (0, *bars, d)
+        yield np.array([b - a for a, b in zip(cuts, cuts[1:])], dtype=float) / d
 
 
-def barycentric_lattice(dim: int, d: int, interior: bool = False) -> Iterator[np.ndarray]:
-    """Lattice points ``k / d`` of the standard simplex with integer
-    ``k >= 0`` (or ``k >= 1`` when ``interior``) summing to ``d``."""
-    if dim < 1 or d < 1:
-        raise ValueError("dim and d must be positive")
-    if interior:
-        if d < dim:
-            return
-        for k in _compositions(d, dim):
-            yield np.array(k, dtype=float) / d
-    else:
-        for k in itertools.product(range(d + 1), repeat=dim):
-            if sum(k) == d:
-                yield np.array(k, dtype=float) / d
+def _check_tau(tau: float) -> None:
+    if not (math.isfinite(tau) and tau >= 0):
+        raise ValueError(f"tau must be finite and nonnegative, got {tau}")
 
 
 def diagonal_check(A: SymmetricTensor, tau: float = 1e-12) -> PrescreenReport:
     """A negative diagonal entry refutes copositivity outright (the form
     value at the corresponding unit vector is that entry)."""
+    _check_tau(tau)
     for i in range(1, A.dim + 1):
         value = A[(i,) * A.order]
         if value < -tau:
@@ -111,6 +100,7 @@ def zero_point_gradient_check(
     coordinate sum; the check only applies when the form vanishes there
     (within ``tau``), and raises otherwise.
     """
+    _check_tau(tau)
     x = np.asarray(x, dtype=float)
     if x.shape != (A.dim,):
         raise ValueError(f"point shape {x.shape} does not match dim {A.dim}")
@@ -154,6 +144,7 @@ def subtensor_sample_refute(
     keys inside ``J`` are those of the subtensor's form, and every other
     term is an exact zero, so no subtensor is built.
     """
+    _check_tau(tau)
     J = tuple(sorted({integer(j) for j in J}))
     if not J:
         raise ValueError("index subset must be nonempty")
@@ -164,7 +155,7 @@ def subtensor_sample_refute(
         raise ValueError(f"grid_depth must be >= 1, got {grid_depth}")
     d = grid_depth + len(J) - 1
     support = np.array(J) - 1
-    for x in barycentric_lattice(len(J), d, interior=True):
+    for x in _interior_lattice(len(J), d):
         point = np.zeros(A.dim)
         point[support] = x
         if A.form(point) < -tau:

@@ -8,12 +8,13 @@ the family ``eta * identity - B``: that tensor is copositive exactly when
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .instances import ones_tensor
-from .tensor import SymmetricTensor
+from .tensor import SymmetricTensor, integer
 
 __all__ = [
     "PowerIterationBudgetError",
@@ -61,14 +62,18 @@ def spectral_radius(
     Raises
     ------
     ValueError
-        If ``B`` has a negative entry, ``tol`` is not positive, or the
+        If ``B`` has a negative entry, ``tol`` is not finite and
+        positive, ``max_iter`` is not an integer of at least 1, or the
         order is below 2.
     PowerIterationBudgetError
         If the bracket is still wider than ``tol`` after ``max_iter``
         steps; the error carries the current bounds.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    max_iter = integer(max_iter, "max_iter")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if B.order < 2:
         raise ValueError("power iteration needs order >= 2")
     if min(B.entries.values(), default=0.0) < 0.0:

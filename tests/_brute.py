@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from coposim import SymmetricTensor, barycentric_lattice, canonical_keys, multiplicity
+from coposim import SymmetricTensor, canonical_keys, multiplicity
 from coposim.prescreen import DIAGONAL, SUBTENSOR_SAMPLE, PrescreenReport
 
 
@@ -158,6 +158,19 @@ def contains(V, x, tol: float = 1e-12) -> bool:
     return bool(np.all(barycentric_coordinates(V, x) >= -tol))
 
 
+def barycentric_lattice(dim: int, d: int):
+    """Lattice points ``k / d`` of the closed standard simplex: integer
+    ``k >= 0`` summing to ``d``, in lexicographic order of ``k``."""
+    for k in itertools.product(range(d + 1), repeat=dim):
+        if sum(k) == d:
+            yield np.array(k, dtype=float) / d
+
+
+def interior_lattice(dim: int, d: int):
+    """The points of :func:`barycentric_lattice` with every ``k >= 1``."""
+    return (x for x in barycentric_lattice(dim, d) if x.min() > 0)
+
+
 def subtensor_prescreen(A: SymmetricTensor, grid_depth: int = 2,
                         tau: float = 1e-12) -> PrescreenReport:
     """The prescreen battery as it was first written: diagonal entries, then
@@ -174,7 +187,7 @@ def subtensor_prescreen(A: SymmetricTensor, grid_depth: int = 2,
     dense = dense_of(A)
     for J in subsets:
         sub = principal_subtensor(dense, J)
-        for x in barycentric_lattice(len(J), grid_depth + len(J) - 1, interior=True):
+        for x in interior_lattice(len(J), grid_depth + len(J) - 1):
             if sub.form(x) < -tau:
                 witness = np.zeros(n)
                 for position, j in enumerate(J):

@@ -74,6 +74,16 @@ def test_detect_eta_one_trace():
     assert verify_witness(eta_shift(1.0, ones_tensor(3, 3)), verdict.witness)
 
 
+def test_root_witness_is_the_first_negative_vertex_in_list_order():
+    # Two root vertices are negative; the smaller value sits at e2, yet the
+    # witness is e1, the first in list order, and the minimum is still e2's.
+    A = SymmetricTensor(3, 3, {(1, 1, 1): -1, (2, 2, 2): -2, (3, 3, 3): 1})
+    verdict = detect(A)
+    assert verdict.kind is VerdictKind.NOT_COPOSITIVE and verdict.iterations == 1
+    assert np.array_equal(verdict.witness, [1.0, 0.0, 0.0])
+    assert verdict.min_vertex_value == -2.0
+
+
 def test_detect_reference_family_verdicts():
     cases = [
         (3, 3, 8.99, VerdictKind.NOT_COPOSITIVE, 43),

@@ -7,7 +7,6 @@ from coposim import (
     DetectorConfig,
     SymmetricTensor,
     VerdictKind,
-    barycentric_lattice,
     detect,
     diagonal_check,
     eta_shift,
@@ -21,9 +20,9 @@ from coposim import (
     verify_witness,
     zero_point_gradient_check,
 )
-from coposim.prescreen import DIAGONAL, SUBTENSOR_SAMPLE, ZERO_POINT_GRADIENT
+from coposim.prescreen import DIAGONAL, SUBTENSOR_SAMPLE, ZERO_POINT_GRADIENT, _interior_lattice
 
-from _brute import random_symmetric, subtensor_prescreen
+from _brute import barycentric_lattice, interior_lattice, random_symmetric, subtensor_prescreen
 
 # Zero at e1, where the contraction is (0, -0.1): the form slopes down
 # into the simplex.
@@ -33,13 +32,15 @@ SLOPED = SymmetricTensor(3, 2, {(1, 1, 2): -0.1, (1, 2, 2): 1.0, (2, 2, 2): 1.0}
 def test_barycentric_lattice():
     closed = list(barycentric_lattice(2, 2))
     assert sorted(tuple(p) for p in closed) == [(0.0, 1.0), (0.5, 0.5), (1.0, 0.0)]
-    interior = list(barycentric_lattice(2, 2, interior=True))
-    assert [tuple(p) for p in interior] == [(0.5, 0.5)]
-    assert list(barycentric_lattice(3, 2, interior=True)) == []
-    depth20 = list(barycentric_lattice(3, 20))
-    assert len(depth20) == 231
-    with pytest.raises(ValueError):
-        list(barycentric_lattice(0, 2))
+    assert [tuple(p) for p in _interior_lattice(2, 2)] == [(0.5, 0.5)]
+    assert list(_interior_lattice(3, 2)) == []
+    assert len(list(barycentric_lattice(3, 20))) == 231
+    # The library's cut generator yields the oracle's interior points, in
+    # the same (lexicographic) order and bit for bit.
+    for dim in range(1, 5):
+        for d in range(1, 9):
+            ours = [tuple(x) for x in _interior_lattice(dim, d)]
+            assert ours == [tuple(x) for x in interior_lattice(dim, d)], (dim, d)
 
 
 def test_diagonal_check():
@@ -51,6 +52,24 @@ def test_diagonal_check():
     assert report.violated_condition == DIAGONAL
     assert np.array_equal(report.witness, [1.0, 0.0, 0.0])
     assert verify_witness(random_tensor_negative_diagonal(4, 3, 0), report.witness)
+
+
+def test_prescreens_reject_a_nonfinite_or_negative_tau():
+    # With tau = nan every comparison is false, so the -1 diagonal entry
+    # would pass unseen.
+    A = random_tensor_negative_diagonal(4, 3, 0)
+    zero = np.full(3, 1 / 3)
+    for tau in (np.nan, np.inf, -1.0):
+        checks = (
+            lambda: diagonal_check(A, tau=tau),
+            lambda: subtensor_sample_refute(A, (1, 2), tau=tau),
+            lambda: zero_point_gradient_check(eta_shift(9.0, ones_tensor(3, 3)), zero, tau=tau),
+            lambda: run_prescreen(A, tau=tau),
+        )
+        for check in checks:
+            with pytest.raises(ValueError, match="tau"):
+                check()
+    assert diagonal_check(A, tau=0.0).violated_condition == DIAGONAL
 
 
 def test_zero_point_gradient_check_passes():

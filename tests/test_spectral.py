@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,13 @@ def test_input_validation():
         spectral_radius(ones_tensor(3, 3), tol=0.0)
     with pytest.raises(ValueError):
         spectral_radius(ones_tensor(1, 3))
+    for tol in (math.nan, math.inf, -1e-8):
+        with pytest.raises(ValueError, match="tol"):
+            spectral_radius(ones_tensor(3, 3), tol=tol)
+    for max_iter in (0, -5, 2.5, True, "10"):
+        with pytest.raises(ValueError, match="max_iter"):
+            spectral_radius(ones_tensor(3, 3), max_iter=max_iter)
+    assert spectral_radius(ones_tensor(3, 3), max_iter=10.0).rho == pytest.approx(9.0)
 
 
 def test_budget_error_carries_bounds():
