@@ -74,7 +74,9 @@ def _ranged(convert, minimum, *, strict: bool = False, bits: int = 0):
     """Argument type: ``convert(text)``, finite and at least ``minimum``
     (above it when ``strict``) and, given ``bits``, below ``2**bits``;
     anything else is a usage error."""
-    wanted = f"a finite number {'>' if strict else '>='} {minimum}"
+    wanted = "a finite number"
+    if minimum > -math.inf:
+        wanted += f" {'>' if strict else '>='} {minimum}"
     if bits:
         wanted += f" and < 2**{bits}"
 
@@ -94,6 +96,7 @@ _COUNT = _ranged(int, 1)
 _SEED = _ranged(int, 0, bits=64)
 _NONNEGATIVE = _ranged(float, 0.0)
 _POSITIVE = _ranged(float, 0.0, strict=True)
+_FINITE = _ranged(float, -math.inf)
 
 
 def _fmt(value: float) -> str:
@@ -370,7 +373,7 @@ def _add_source_arguments(parser, with_eta=True):
     parser.add_argument("--m", type=_COUNT, help="tensor order for --gen")
     parser.add_argument("--n", type=_COUNT, help="tensor dimension for --gen")
     if with_eta:
-        parser.add_argument("--eta", type=float, help="diagonal shift for --gen eta-ones")
+        parser.add_argument("--eta", type=_FINITE, help="diagonal shift for --gen eta-ones")
     parser.add_argument("--seed", type=_SEED, default=0, help="seed for random generators")
     parser.add_argument("--out", help="also write the JSON result to this file")
 

@@ -13,8 +13,34 @@ A cell is a read-only ``(n, n)`` array with one vertex per row; the root
 is the identity.  Bisecting edge ``(p, q)`` makes two children, each the
 parent with one endpoint's row replaced by the edge midpoint.  Both
 children's coefficients come from their parent's by midpoint subdivision
-in one gather, so a bisection costs one form evaluation and no dense
-contraction.
+in one gather, with no dense contraction.
+
+The midpoint's value is read off that split, as a filtered predicate in
+the sense of Shewchuk (Discrete Comput. Geom., 1997).  In exact
+arithmetic the first child's corner coefficient, the one whose key holds
+``m`` copies of the midpoint, is the form's value there; in floats it is
+within a bound of it, and only a value within the bound of the running
+minimum ``min_vertex`` could change a decision, so only such a value gets
+an exact form evaluation.  The bound: every exact coefficient lies within
+``M = max|entry of A|``, since each split takes convex combinations.  A
+split rounds at most ``m + 1`` products and sums of numbers within ``M``,
+so each level adds about ``(m + 1) u M`` of error (``u = 2**-53``), and
+convex combinations carry the parent's error over without growing it.
+The form evaluation is within about ``(m + 1) u M`` of the true value
+too: its terms are rounded products whose weights sum to ``M`` at most on
+the simplex, and ``math.fsum`` adds them with one rounding.  A midpoint
+made by bisecting a cell at depth ``d`` has gone through ``d + 1`` split
+levels, so the two differ by less than ``(d + 3)(m + 2) u M``, and the
+filter takes eight times that.  Past depth 50 the float midpoint itself
+may round, and the form is always evaluated.
+
+A value taken off the split can never matter.  A bisection happens only
+after the popped cell passed the vertex test, so ``min_vertex >= -tau``
+then, and it only falls afterwards.  A value taken is more than the bound
+above ``min_vertex``, so the form's value at that midpoint is above it
+too: neither refutes, and neither becomes the running minimum when the
+child is popped.  Verdicts, witnesses, ``min_vertex_value``, iteration counts and
+certified cells are those of evaluating every midpoint exactly.
 
 A frontier entry carries a single vertex value: a child's is its new
 vertex's, the midpoint's.  The test stays exact, because the child's
@@ -58,7 +84,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import SymmetricTensor, integer, split_coefficients
+from .tensor import SymmetricTensor, corner_indices, integer, split_coefficients
 
 __all__ = [
     "DetectorConfig",
@@ -93,6 +119,8 @@ class DetectorConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+        if not isinstance(self.keep_certificates, bool):
+            raise ValueError(f"keep_certificates must be a bool, got {self.keep_certificates!r}")
 
 
 class VerdictKind(enum.Enum):
@@ -160,6 +188,11 @@ def _row_dots(D: np.ndarray) -> np.ndarray:
     return (D[:, None, :] @ D[:, :, None]).ravel()
 
 
+# Slack of the midpoint filter, in units of (m + 2) u M per split level;
+# see the module docstring.
+_SAFETY = 8.0
+
+
 def detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdict:
     """Decide copositivity of ``A`` within the configured budget.
 
@@ -180,6 +213,9 @@ def detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdict:
     root = np.eye(n)
     root.setflags(write=False)
     upper, pairs = _upper_triangle(n)
+    # The filter's corner positions and error unit, set at the first
+    # bisection: a run certified at the root never pays for them.
+    corner = unit = None
     # Frontier entries are (cell, squared edge lengths, Bernstein
     # coefficients, carried vertex, its value, depth), popped last in first
     # out.  The root's coefficients are A's entries: its barycentric
@@ -225,13 +261,19 @@ def detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdict:
         # The first maximum in lexicographic order, as a strict scan finds it.
         p, q = pairs[int(lengths.take(upper).argmax())]
         midpoint = 0.5 * (cell[p] + cell[q])
-        # Vertex values are never read off the coefficients: the midpoint
-        # gets an exact form evaluation.
-        mid = A.form(midpoint)
         # Squared distances from every vertex to the midpoint: the row and
         # column of the vertex the midpoint replaces.
         row = _row_dots(cell - midpoint)
         children = split_coefficients(coefficients, m, n, p, q)
+        # The first child's corner at p is the midpoint's value up to
+        # rounding.  Within the bound of min_vertex, or once the midpoint
+        # itself may round, evaluate it exactly.
+        if unit is None:
+            corner = corner_indices(m, n)
+            unit = _SAFETY * (m + 2) * 2.0**-53 * max(map(abs, A.entries.values()))
+        mid = children.item(corner[p])
+        if depth >= 50 or mid - (depth + 3) * unit <= min_vertex:
+            mid = A.form(midpoint)
         # The first child replaces p, the second q; the second is popped next.
         for child_coefficients, moved in zip(children, (p, q)):
             child = cell.copy()

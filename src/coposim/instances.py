@@ -48,11 +48,14 @@ def random_tensor(order: int, dim: int, seed: int) -> SymmetricTensor:
     The stream is reproducible across platforms: a Philox counter-based
     generator keyed by ``seed`` supplies one double per canonical key in
     lexicographic key order (an exact zero draw, probability 2**-53, is
-    redrawn).
+    redrawn).  ``order``, ``dim`` and ``seed`` must pass
+    :func:`~coposim.tensor.integer`.
     """
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    order = integer(order, "order")
+    dim = integer(dim, "dim")
+    rng = np.random.Generator(np.random.Philox(key=integer(seed, "seed")))
     entries = {}
-    for key in canonical_keys(int(order), int(dim)):
+    for key in canonical_keys(order, dim):
         value = rng.random()
         while value == 0.0:
             value = rng.random()
@@ -65,8 +68,8 @@ def random_tensor_negative_diagonal(order: int, dim: int, seed: int) -> Symmetri
     entry forced to -1 (a one-entry copositivity refutation)."""
     base = random_tensor(order, dim, seed)
     entries = dict(base.entries)
-    entries[(1,) * int(order)] = -1.0
-    return SymmetricTensor(order, dim, entries)
+    entries[(1,) * base.order] = -1.0
+    return SymmetricTensor(base.order, base.dim, entries)
 
 
 def from_polynomial(

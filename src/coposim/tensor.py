@@ -16,7 +16,8 @@ coefficients of the form in the barycentric coordinates of a simplex,
 listed for every canonical key (zeros included).
 :func:`split_coefficients` derives both children's coefficients from
 their parent's by midpoint subdivision (de Casteljau in the simplicial
-Bernstein basis), in one gather and with no dense array.
+Bernstein basis), in one gather and with no dense array, and
+:func:`corner_indices` locates the coefficients that are vertex values.
 """
 
 from __future__ import annotations
@@ -399,6 +400,15 @@ def _split_table(order: int, dim: int, p: int, q: int) -> tuple[np.ndarray, np.n
     for array in table:
         array.setflags(write=False)
     return table
+
+
+@functools.lru_cache(maxsize=64)
+def corner_indices(order: int, dim: int) -> tuple[int, ...]:
+    """Entry ``v`` is the position of the key ``(v + 1, ..., v + 1)``
+    among the canonical keys of shape ``(order, dim)``: a cell's Bernstein
+    coefficient there is the form's value at its vertex ``v``."""
+    index = {key: t for t, key in enumerate(canonical_keys(order, dim))}
+    return tuple(index[(i,) * order] for i in range(1, dim + 1))
 
 
 def split_coefficients(coefficients: np.ndarray, order: int, dim: int, p: int, q: int) -> np.ndarray:

@@ -282,6 +282,11 @@ def test_usage_errors(capsys, tmp_path):
         ["spectral", "--gen", "random", "--m", "3", "--n", "3", "--seed", "-1"],
         ["gen", "--gen", "random", "--m", "3", "--n", "3", "--seed", "-1"],
         ["table", "2", "--seed", "-1"],
+        ["detect", "--gen", "eta-ones", "--m", "3", "--n", "3", "--eta", "nan"],
+        ["detect", "--gen", "eta-ones", "--m", "3", "--n", "3", "--eta", "inf"],
+        ["detect", "--gen", "eta-ones", "--m", "3", "--n", "3", "--eta=-inf"],
+        ["prescreen", "--gen", "eta-ones", "--m", "3", "--n", "3", "--eta", "nan"],
+        ["gen", "--gen", "eta-ones", "--m", "3", "--n", "3", "--eta", "inf"],
     ):
         with pytest.raises(SystemExit) as info:
             main(argv)

@@ -7,17 +7,22 @@ import pytest
 from coposim import (
     DetectorConfig,
     SymmetricTensor,
+    Verdict,
     VerdictKind,
+    choi_lam_tensor,
     detect,
     eta_shift,
     motzkin_tensor,
     ones_tensor,
     random_tensor,
+    robinson_tensor,
     spectral_radius,
     verify_witness,
 )
-from coposim.cli import main
+from coposim import detector
+from coposim.cli import TABLE1_ROWS, main
 from coposim.detector import _row_dots
+from coposim.tensor import corner_indices
 
 from _brute import congruence, contains, dense_of, random_simplex_point, random_symmetric
 
@@ -32,6 +37,10 @@ def test_config_validation():
         for bad in (-1e-9, math.nan, math.inf):
             with pytest.raises(ValueError, match=name):
                 DetectorConfig(**{name: bad})
+    DetectorConfig(keep_certificates=True)
+    for bad in ("no", 0, 1, None):
+        with pytest.raises(ValueError, match="keep_certificates"):
+            DetectorConfig(keep_certificates=bad)
 
 
 def test_certify_nonnegative_tensor_on_standard_simplex():
@@ -294,9 +303,7 @@ def test_random_copositive_runs_certify_immediately():
         assert verdict.max_depth == 0
 
 
-def test_search_carries_coefficients_and_vertex_values(monkeypatch):
-    # Every bisection costs one form evaluation (the midpoint, shared by
-    # both children); the root costs n.
+def _count_form_calls(monkeypatch, A) -> tuple[Verdict, int]:
     calls = []
     form = SymmetricTensor.form
 
@@ -304,11 +311,105 @@ def test_search_carries_coefficients_and_vertex_values(monkeypatch):
         calls.append(1)
         return form(self, x)
 
-    monkeypatch.setattr(SymmetricTensor, "form", counted)
-    verdict = detect(eta_shift(9.01, ones_tensor(3, 3)))
+    with monkeypatch.context() as patch:
+        patch.setattr(SymmetricTensor, "form", counted)
+        verdict = detect(A)
+    return verdict, len(calls)
+
+
+def test_search_carries_coefficients_and_vertex_values(monkeypatch):
+    # The root costs n form evaluations.  A bisection reads the midpoint's
+    # value off the split and evaluates the form only when that value lies
+    # within the rounding bound of the running minimum: here 15 of the 29
+    # bisections fall back.  Forced exact, every bisection evaluates.
+    A = eta_shift(9.01, ones_tensor(3, 3))
+    verdict, calls = _count_form_calls(monkeypatch, A)
     assert verdict.kind is VerdictKind.COPOSITIVE and verdict.iterations == 59
     bisections = (verdict.iterations - 1) // 2
-    assert len(calls) == 3 + bisections
+    assert bisections == 29 and calls == 3 + 15
+    monkeypatch.setattr(detector, "_SAFETY", math.inf)
+    exact, calls = _count_form_calls(monkeypatch, A)
+    assert exact.to_json_dict() == verdict.to_json_dict()
+    assert calls == 3 + bisections
+
+
+def _midpoint_values(monkeypatch, A, cfg) -> tuple[Verdict, list[tuple[float, float, np.ndarray]]]:
+    """Run ``A`` with every midpoint evaluated exactly, and return, per
+    bisection, the corner coefficient the filter reads, the form's value
+    at the midpoint and the midpoint."""
+    corners, values = [], []
+    split, form = detector.split_coefficients, SymmetricTensor.form
+
+    def spy_split(coefficients, m, n, p, q):
+        children = split(coefficients, m, n, p, q)
+        corners.append(children.item(corner_indices(m, n)[p]))
+        return children
+
+    def spy_form(self, x):
+        value = form(self, x)
+        values.append((value, np.array(x)))
+        return value
+
+    with monkeypatch.context() as patch:
+        patch.setattr(detector, "_SAFETY", math.inf)
+        patch.setattr(detector, "split_coefficients", spy_split)
+        patch.setattr(SymmetricTensor, "form", spy_form)
+        verdict = detect(A, cfg)
+    values = values[A.dim:]  # past the root's vertices
+    assert len(corners) == len(values)
+    return verdict, [(c, v, x) for c, (v, x) in zip(corners, values)]
+
+
+def _dyadic_depth(x: np.ndarray) -> int:
+    """The smallest k with every coordinate of ``x`` a multiple of 2**-k: a
+    midpoint made at depth d + 1 has k <= d + 1."""
+    return next(k for k in range(64) if all((v * 2.0**k).is_integer() for v in x))
+
+
+def test_corner_coefficient_is_within_the_filter_bound_of_the_form(monkeypatch):
+    # The filter's bound before its safety factor, (depth + 3)(m + 2) u M,
+    # holds on every bisection; each cell is given the shallowest depth its
+    # midpoint's dyadic coordinates allow, which only tightens the bound.
+    for (m, n), budget in (((6, 5), 5000), ((4, 8), 2000), ((3, 12), 2000)):
+        B = random_tensor(m, n, 0)
+        A = eta_shift(spectral_radius(B).rho + 1.0, B)
+        verdict, bisections = _midpoint_values(monkeypatch, A, DetectorConfig(max_iterations=budget))
+        if (m, n) == (6, 5):
+            assert verdict.iterations == 1847 and verdict.max_depth == 33
+        assert bisections
+        unit = (m + 2) * 2.0**-53 * max(map(abs, A.entries.values()))
+        for corner, value, midpoint in bisections:
+            depth = max(_dyadic_depth(midpoint) - 1, 0)
+            assert abs(corner - value) <= (depth + 3) * unit, ((m, n), midpoint)
+
+
+def test_filtered_midpoint_values_change_nothing(monkeypatch):
+    # Every run, its records and its certified cells are those of the run
+    # that evaluates every midpoint's form exactly.
+    # Runs are (tensor, budget, sigma): Table 1, (6,5) to completion,
+    # rho - 1 shifts (refuted, or undecided at n >= 8) and the sextics.
+    runs = [(eta_shift(eta, ones_tensor(m, n)), 100, 0.0) for m, n, _, eta, _, _ in TABLE1_ROWS]
+    B = random_tensor(6, 5, 0)
+    runs.append((eta_shift(spectral_radius(B).rho + 1.0, B), 5000, 0.0))
+    for m, n in ((3, 3), (4, 4), (6, 3), (6, 5), (4, 8), (3, 12)):
+        for seed in (0, 1):
+            B = random_tensor(m, n, seed)
+            runs.append((eta_shift(spectral_radius(B).rho - 1.0, B), 2000, 0.0))
+    for sextic in (motzkin_tensor, robinson_tensor, choi_lam_tensor):
+        runs.append((sextic(), 2000, 1e-3))
+    kinds = set()
+    for A, budget, sigma in runs:
+        cfg = DetectorConfig(max_iterations=budget, sigma=sigma, keep_certificates=True)
+        filtered = detect(A, cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(detector, "_SAFETY", math.inf)
+            exact = detect(A, cfg)
+        assert filtered.to_json_dict() == exact.to_json_dict(), A
+        cells, exact_cells = filtered.certified_cells or (), exact.certified_cells or ()
+        assert len(cells) == len(exact_cells)
+        assert all(np.array_equal(a, b) for a, b in zip(cells, exact_cells))
+        kinds.add(filtered.to_json_dict()["verdict"])
+    assert kinds == {"copositive", "not_copositive", "undecided", "sigma_certified"}
 
 
 def test_deep_random_search_runs_to_completion():

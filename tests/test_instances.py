@@ -65,6 +65,24 @@ def test_negative_diagonal_variant():
     assert B[(1, 2, 3)] == base[(1, 2, 3)]
 
 
+def test_random_tensors_take_integer_arguments_only():
+    # Integral floats and numpy integers name the same tensor; a fractional
+    # or boolean order, dim or seed used to be truncated into another one.
+    A = random_tensor(3, 3, 2)
+    assert random_tensor(3.0, np.int64(3), 2.0) == A
+    assert random_tensor_negative_diagonal(3.0, 3, np.uint8(2)) == random_tensor_negative_diagonal(3, 3, 2)
+    for make in (random_tensor, random_tensor_negative_diagonal):
+        for args, name in (
+            ((3, 3, 2.5), "seed"),
+            ((3, 3, True), "seed"),
+            ((3, 3, "1"), "seed"),
+            ((3.5, 3, 0), "order"),
+            ((3, False, 0), "dim"),
+        ):
+            with pytest.raises(ValueError, match=name):
+                make(*args)
+
+
 def test_from_polynomial_single_monomial():
     T = from_polynomial(6, 3, [((6, 0, 0), 1.0)])
     assert T[(1,) * 6] == 1.0
