@@ -47,8 +47,9 @@ vertex's, the midpoint's.  The test stays exact, because the child's
 other vertices are its parent's, whose values were all at least ``-tau``
 and were folded into the running minimum when the parent was popped; so
 only the new vertex can refute the child or lower that minimum.  The
-root carries the smallest of its values, and the first vertex in list
-order below ``-tau`` if there is one.
+root carries the smallest of its corner coefficients, which are its vertex
+values, and the first vertex in list order below ``-tau`` if there is
+one.  Every entry also carries its smallest coefficient.
 
 A frontier entry also carries the cell's ``(n, n)`` matrix of squared
 edge lengths, so no bisection recomputes it.  A bisection computes one
@@ -213,17 +214,20 @@ def detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdict:
     root = np.eye(n)
     root.setflags(write=False)
     upper, pairs = _upper_triangle(n)
-    # The filter's corner positions and error unit, set at the first
-    # bisection: a run certified at the root never pays for them.
-    corner = unit = None
     # Frontier entries are (cell, squared edge lengths, Bernstein
-    # coefficients, carried vertex, its value, depth), popped last in first
-    # out.  The root's coefficients are A's entries: its barycentric
-    # coordinates are the coordinates themselves.  Its squared edge lengths
-    # are all 2.0, exactly what ``diff @ diff`` gives on the identity's rows.
-    values = [A.form(u) for u in root]
+    # coefficients, their smallest, carried vertex, its value, depth),
+    # popped last in first out.  The root's coefficients are A's entries:
+    # its barycentric coordinates are the coordinates themselves, and its
+    # vertex values are its corner coefficients, the diagonal entries, bit
+    # for bit what ``A.form`` gives there.  Its squared edge lengths are
+    # all 2.0, exactly what ``diff @ diff`` gives on the identity's rows.
+    coefficients = A.coefficient_vector()
+    corner = corner_indices(m, n)
+    values = coefficients.take(corner).tolist()
+    # The midpoint filter's error unit; max|A| is the root's largest |coefficient|.
+    unit = _SAFETY * (m + 2) * 2.0**-53 * float(np.abs(coefficients).max())
     first = next((i for i, value in enumerate(values) if value < -tau), 0)
-    frontier = [(root, 2.0 - 2.0 * root, A.coefficient_vector(), first, min(values), 0)]
+    frontier = [(root, 2.0 - 2.0 * root, coefficients, coefficients.min(), first, min(values), 0)]
     iterations = 0
     max_depth = 0
     min_vertex = math.inf
@@ -244,7 +248,7 @@ def detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdict:
     while frontier:
         if iterations >= cfg.max_iterations:
             return verdict(VerdictKind.UNDECIDED)
-        cell, lengths, coefficients, vertex, value, depth = frontier.pop()
+        cell, lengths, coefficients, low, vertex, value, depth = frontier.pop()
         iterations += 1
         # The diagonal is zero, so the largest entry is the longest edge's.
         if cfg.min_diameter > 0.0 and math.sqrt(lengths.max()) < cfg.min_diameter:
@@ -254,7 +258,7 @@ def detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdict:
         min_vertex = min(min_vertex, value)
         if value < -tau:
             return verdict(VerdictKind.NOT_COPOSITIVE, witness=np.array(cell[vertex]))
-        if coefficients.min() >= floor:
+        if low >= floor:
             if certified is not None:
                 certified.append(cell)
             continue
@@ -268,14 +272,12 @@ def detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdict:
         # The first child's corner at p is the midpoint's value up to
         # rounding.  Within the bound of min_vertex, or once the midpoint
         # itself may round, evaluate it exactly.
-        if unit is None:
-            corner = corner_indices(m, n)
-            unit = _SAFETY * (m + 2) * 2.0**-53 * max(map(abs, A.entries.values()))
         mid = children.item(corner[p])
         if depth >= 50 or mid - (depth + 3) * unit <= min_vertex:
             mid = A.form(midpoint)
         # The first child replaces p, the second q; the second is popped next.
-        for child_coefficients, moved in zip(children, (p, q)):
+        lows = np.minimum.reduce(children, axis=1).tolist()
+        for child_coefficients, low, moved in zip(children, lows, (p, q)):
             child = cell.copy()
             child[moved] = midpoint
             child.setflags(write=False)
@@ -283,7 +285,7 @@ def detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdict:
             child_lengths[moved] = row
             child_lengths[:, moved] = row
             child_lengths[moved, moved] = 0.0
-            frontier.append((child, child_lengths, child_coefficients, moved, mid, depth + 1))
+            frontier.append((child, child_lengths, child_coefficients, low, moved, mid, depth + 1))
         max_depth = max(max_depth, depth + 1)
     return verdict(
         VerdictKind.COPOSITIVE,

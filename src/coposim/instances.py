@@ -11,7 +11,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .tensor import SymmetricTensor, canonical_keys, integer, multiplicity
+from .tensor import SymmetricTensor, _Canonical, canonical_keys, integer, multiplicity, real
 
 __all__ = [
     "choi_lam_tensor",
@@ -29,17 +29,24 @@ __all__ = [
 
 def identity_tensor(order: int, dim: int) -> SymmetricTensor:
     """Ones on the diagonal multi-indices, zero elsewhere."""
-    return SymmetricTensor(order, dim, {(i,) * order: 1.0 for i in range(1, dim + 1)})
+    return SymmetricTensor(order, dim, _Canonical(((i,) * order, 1.0) for i in range(1, dim + 1)))
 
 
 def ones_tensor(order: int, dim: int) -> SymmetricTensor:
     """Every entry equal to one."""
-    return SymmetricTensor(order, dim, {key: 1.0 for key in canonical_keys(order, dim)})
+    return SymmetricTensor(order, dim, _Canonical.fromkeys(canonical_keys(order, dim), 1.0))
 
 
 def eta_shift(eta: float, B: SymmetricTensor) -> SymmetricTensor:
-    """The diagonal shift ``eta * identity - B`` matching B's shape."""
-    return float(eta) * identity_tensor(B.order, B.dim) - B
+    """The diagonal shift ``eta * identity - B`` matching B's shape, built
+    at once, with the values the tensor arithmetic gives bit for bit."""
+    eta, stored = float(eta), B.entries
+    entries = _Canonical(zip(stored, map(float.__neg__, stored.values())))
+    for key in ((i,) * B.order for i in range(1, B.dim + 1)):
+        entries[key] = eta - stored.get(key, 0.0)
+    if len(entries) > B.nnz:  # diagonal keys B lacks came last
+        entries = _Canonical(sorted(entries.items()))
+    return SymmetricTensor(B.order, B.dim, entries)
 
 
 def random_tensor(order: int, dim: int, seed: int) -> SymmetricTensor:
@@ -48,26 +55,25 @@ def random_tensor(order: int, dim: int, seed: int) -> SymmetricTensor:
     The stream is reproducible across platforms: a Philox counter-based
     generator keyed by ``seed`` supplies one double per canonical key in
     lexicographic key order (an exact zero draw, probability 2**-53, is
-    redrawn).  ``order``, ``dim`` and ``seed`` must pass
-    :func:`~coposim.tensor.integer`.
+    skipped, and the next draw takes its place).  ``order``, ``dim`` and
+    ``seed`` must pass :func:`~coposim.tensor.integer`.
     """
     order = integer(order, "order")
     dim = integer(dim, "dim")
     rng = np.random.Generator(np.random.Philox(key=integer(seed, "seed")))
-    entries = {}
-    for key in canonical_keys(order, dim):
-        value = rng.random()
-        while value == 0.0:
-            value = rng.random()
-        entries[key] = value
-    return SymmetricTensor(order, dim, entries)
+    keys = list(canonical_keys(order, dim))
+    values = rng.random(len(keys))
+    while not values.all():
+        values = values[values != 0.0]
+        values = np.append(values, rng.random(len(keys) - len(values)))
+    return SymmetricTensor(order, dim, _Canonical(zip(keys, values.tolist())))
 
 
 def random_tensor_negative_diagonal(order: int, dim: int, seed: int) -> SymmetricTensor:
     """Same stream as :func:`random_tensor` but with the leading diagonal
     entry forced to -1 (a one-entry copositivity refutation)."""
     base = random_tensor(order, dim, seed)
-    entries = dict(base.entries)
+    entries = _Canonical(base.entries)  # every key, so (1, ..., 1) stays first
     entries[(1,) * base.order] = -1.0
     return SymmetricTensor(base.order, base.dim, entries)
 
@@ -102,7 +108,7 @@ def from_polynomial(
         key = tuple(i for i, e in enumerate(exponents, start=1) for _ in repeat(None, e))
         if key in entries:
             raise ValueError(f"duplicate exponent vector {exponents}")
-        entries[key] = float(coefficient) / multiplicity(key)
+        entries[key] = real(coefficient, f"coefficient of {exponents}") / multiplicity(key)
     return SymmetricTensor(order, dim, entries)
 
 
@@ -122,7 +128,7 @@ def polynomial_from_json(source: str | Mapping) -> SymmetricTensor:
     monomials = []
     for item in raw:
         try:
-            monomials.append((tuple(item["exponents"]), float(item["coeff"])))
+            monomials.append((tuple(item["exponents"]), item["coeff"]))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed monomial {item!r}") from exc
     return from_polynomial(order, dim, monomials)

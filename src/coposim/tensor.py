@@ -10,6 +10,11 @@ weighted by the multinomial multiplicity ``m! / (c_1! ... c_n!)``, where
 
 Summations that feed sign decisions (form values, contractions) use
 ``math.fsum`` so accumulation error cannot flip a comparison against zero.
+What the evaluations derive from the keys alone is a key plan, built once
+per distinct key set and shared read-only; a tensor multiplies its values
+into it.  Construction canonicalizes and checks the keys, then the values;
+arithmetic and the instance constructors hand in keys already canonical
+and in order, and skip the first step.
 
 The same canonical ordering indexes a cell's Bernstein coefficients: the
 coefficients of the form in the barycentric coordinates of a simplex,
@@ -96,21 +101,71 @@ def _multiplicities(positions: np.ndarray) -> np.ndarray:
     return (math.factorial(m) // np.prod(counts, axis=1)).astype(float)
 
 
-def _weights_finite(entries: Mapping[tuple[int, ...], float], order: int, dim: int) -> bool:
-    """Whether ``sum(multiplicity(key) * |value|)`` is a finite float.  The
-    multiplicities add up to ``dim ** order``, so a finite
-    ``max|value| * dim ** order`` settles it at once; only when that bound
-    overflows are the keys summed one by one."""
-    largest = max(map(abs, entries.values()), default=0.0)
+def real(value, what: str = "value") -> float:
+    """``value`` as a ``float``: Python and numpy integers and floats only,
+    no bools, and no integer beyond the float range; else ``ValueError``."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{what} must be a real number in the float range, got {value!r}")
+
+
+class _Canonical(dict):
+    """Entries with canonical in-range keys, sorted: only values get checked."""
+
+
+def _finished(entries: dict, order: int, dim: int) -> dict:
+    """``entries`` with its values passed through :func:`real` and its
+    zeros dropped, after checking that they and ``sum(multiplicity(key) *
+    |value|)`` are finite.  The multiplicities add up to ``dim ** order``,
+    so a finite ``max|value| * dim ** order`` settles the sum at once."""
+    if not set(map(type, entries.values())) <= {float}:
+        entries = {key: real(value, f"entry {key}") for key, value in entries.items()}
+    values = np.fromiter(entries.values(), dtype=float, count=len(entries))
+    if not np.isfinite(values).all():
+        key = next(key for key, value in entries.items() if not math.isfinite(value))
+        raise ValueError(f"entry {key} is not finite: {entries[key]}")
+    if not values.all():
+        entries = {key: value for key, value in entries.items() if value != 0.0}
+    largest = float(np.abs(values).max(initial=0.0))
     try:
         if largest * float(dim) ** order < math.inf:
-            return True
+            return entries
     except OverflowError:
         pass
     try:
-        return math.fsum(multiplicity(key) * abs(value) for key, value in entries.items()) < math.inf
+        if math.fsum(multiplicity(key) * abs(value) for key, value in entries.items()) < math.inf:
+            return entries
     except OverflowError:
-        return False
+        pass
+    raise ValueError(
+        "entries too large: the sum of multiplicity * |entry| over all keys is not a finite float"
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _key_plan(order: int, dim: int, keys: tuple[tuple[int, ...], ...]) -> tuple[tuple, tuple]:
+    """Read-only arrays derived from the stored ``keys`` alone, in
+    O(len(keys) * order).  The form's: 0-based key columns, multiplicities.
+    The gradient's, one term per key and distinct index ``i`` in it: the
+    columns of the key less one ``i``, the key's row, the run length of
+    ``i``; component ``i`` owns the terms ``bounds[i]:bounds[i + 1]``."""
+    keys = np.array(keys, dtype=np.intp).reshape(-1, order) - 1
+    positions = _run_positions(keys)
+    rows, starts = np.nonzero(positions == 1)
+    index = keys[rows, starts]
+    ranked = np.argsort(index, kind="stable")
+    rows, starts, index = rows[ranked], starts[ranked], index[ranked]
+    slots = np.arange(order - 1)
+    rest = keys[rows[:, None], slots + (slots >= starts[:, None])]
+    columns, rest = (tuple(map(np.ascontiguousarray, a.T)) for a in (keys, rest))
+    multiplicities, counts = _multiplicities(positions), (keys[rows] == index[:, None]).sum(axis=1)
+    for array in (*columns, *rest, multiplicities, rows, counts):
+        array.setflags(write=False)
+    bounds = tuple(np.searchsorted(index, np.arange(dim + 1)).tolist())
+    return (columns, multiplicities), (rest, rows, counts, bounds)
 
 
 class SymmetricTensor:
@@ -126,6 +181,7 @@ class SymmetricTensor:
         Mapping (or iterable of pairs) from multi-index to coefficient.
         Multi-indices may arrive in any order and are canonicalized; two
         entries that collide on the same canonical key are rejected.
+        Values must be Python or numpy integers or floats (not bools).
         Exact zeros are dropped; absent keys read as zero.  NaN and
         infinite values are rejected, and so are entries whose weighted
         sum ``sum(multiplicity(key) * |value|)`` is not a finite float,
@@ -141,27 +197,19 @@ class SymmetricTensor:
             raise ValueError(f"order must be a positive integer, got {order}")
         if dim < 1:
             raise ValueError(f"dim must be a positive integer, got {dim}")
-        canonical: dict[tuple[int, ...], float] = {}
-        if entries is not None:
-            pairs = entries.items() if isinstance(entries, Mapping) else entries
-            for idx, value in pairs:
+        canonical = _Canonical() if entries is None else entries
+        if not isinstance(canonical, _Canonical):
+            canonical = {}
+            for idx, value in entries.items() if isinstance(entries, Mapping) else entries:
                 key = canonical_key(idx)
                 self._check_key_static(key, order, dim)
                 if key in canonical:
                     raise ValueError(f"duplicate canonical key {key}")
-                value = float(value)
-                if not math.isfinite(value):
-                    raise ValueError(f"entry {key} is not finite: {value}")
-                if value != 0.0:
-                    canonical[key] = value
-        if not _weights_finite(canonical, order, dim):
-            raise ValueError(
-                "entries too large: the sum of multiplicity * |entry| over all "
-                "keys is not a finite float"
-            )
+                canonical[key] = value
+            canonical = dict(sorted(canonical.items()))
         self._order = order
         self._dim = dim
-        self._entries = dict(sorted(canonical.items()))
+        self._entries = _finished(canonical, order, dim)
         self._terms = None
         self._gradient = None
 
@@ -229,9 +277,11 @@ class SymmetricTensor:
         if not isinstance(other, SymmetricTensor):
             return NotImplemented
         self._check_shape(other)
-        merged = dict(self._entries)
+        merged = _Canonical(self._entries)
         for key, value in other._entries.items():
             merged[key] = merged.get(key, 0.0) + value
+        if len(merged) > len(self._entries):  # keys only other has came last
+            merged = _Canonical(sorted(merged.items()))
         return SymmetricTensor(self._order, self._dim, merged)
 
     def __sub__(self, other: "SymmetricTensor") -> "SymmetricTensor":
@@ -245,10 +295,8 @@ class SymmetricTensor:
     def __mul__(self, t) -> "SymmetricTensor":
         if not isinstance(t, (int, float)):
             return NotImplemented
-        t = float(t)
-        return SymmetricTensor(
-            self._order, self._dim, {k: t * v for k, v in self._entries.items()}
-        )
+        products = map(float(t).__mul__, self._entries.values())
+        return SymmetricTensor(self._order, self._dim, _Canonical(zip(self._entries, products)))
 
     __rmul__ = __mul__
 
@@ -259,38 +307,19 @@ class SymmetricTensor:
         column ``j`` holds the 0-based ``j``-th index of every key, and each
         weight is ``multiplicity(key) * value``."""
         if self._terms is None:
-            keys = np.array(list(self._entries), dtype=np.intp).reshape(-1, self._order) - 1
+            columns, multiplicities = _key_plan(self._order, self._dim, tuple(self._entries))[0]
             values = np.fromiter(self._entries.values(), dtype=float, count=len(self._entries))
-            weights = _multiplicities(_run_positions(keys)) * values
-            self._terms = (tuple(np.ascontiguousarray(col) for col in keys.T), weights)
+            self._terms = (columns, multiplicities * values)
         return self._terms
 
-    def _gradient_arrays(self) -> tuple[tuple[np.ndarray, ...], np.ndarray, list[int]]:
+    def _gradient_arrays(self) -> tuple[tuple[np.ndarray, ...], np.ndarray, tuple[int, ...]]:
         """Rest-index columns, weights and component bounds for
-        :meth:`gradient_form`, built on first use.  Each stored key gives one
-        term per distinct index ``i``, with run length ``count``: weight
-        ``((value * mult) * count) / m`` times the key with one ``i``
-        removed.  Component ``i`` owns the terms ``bounds[i]:bounds[i + 1]``,
-        which keep storage order within it."""
+        :meth:`gradient_form`, built on first use: a key's term for its
+        index ``i``, with run length ``count``, has weight
+        ``((value * mult) * count) / m``."""
         if self._gradient is None:
-            m = self._order
-            columns, scaled = self._form_arrays()
-            keys = np.stack(columns, axis=1)
-            positions = _run_positions(keys)
-            # Run lengths, read right to left off the last position of each run.
-            lengths = positions.copy()
-            for j in range(m - 2, -1, -1):
-                same = keys[:, j] == keys[:, j + 1]
-                lengths[same, j] = lengths[same, j + 1]
-            rows, starts = np.nonzero(positions == 1)
-            index = keys[rows, starts]
-            order = np.argsort(index, kind="stable")
-            rows, starts, index = rows[order], starts[order], index[order]
-            slots = np.arange(m - 1)
-            rest = keys[rows[:, None], slots + (slots >= starts[:, None])]
-            weights = scaled[rows] * lengths[rows, starts] / m
-            bounds = np.searchsorted(index, np.arange(self._dim + 1)).tolist()
-            self._gradient = (tuple(np.ascontiguousarray(col) for col in rest.T), weights, bounds)
+            rest, rows, counts, bounds = _key_plan(self._order, self._dim, tuple(self._entries))[1]
+            self._gradient = (rest, self._form_arrays()[1][rows] * counts / self._order, bounds)
         return self._gradient
 
     @staticmethod
@@ -332,9 +361,12 @@ class SymmetricTensor:
     def coefficient_vector(self) -> np.ndarray:
         """Every canonical coefficient, zeros included, in lexicographic key
         order: the Bernstein coefficients of the standard simplex."""
-        return np.array(
-            [self._entries.get(key, 0.0) for key in canonical_keys(self._order, self._dim)]
-        )
+        count = math.comb(self._dim + self._order - 1, self._order)
+        values = self._entries.values()  # in that order, if every key is stored
+        if len(self._entries) < count:
+            keys = canonical_keys(self._order, self._dim)
+            values = map(self._entries.get, keys, itertools.repeat(0.0))
+        return np.fromiter(values, dtype=float, count=count)
 
     # -- interchange format -----------------------------------------------------
 

@@ -230,6 +230,50 @@ def random_symmetric(rng: np.random.Generator, order: int, dim: int,
     return SymmetricTensor(order, dim, entries)
 
 
+def assert_constructed(result: SymmetricTensor, pairs) -> None:
+    """``result`` is what the public constructor makes of ``pairs``, handed
+    in reverse order with every multi-index reversed: the same entries in
+    the same key order, every value a ``float``."""
+    scrambled = [(key[::-1], value) for key, value in reversed(list(pairs))]
+    reference = SymmetricTensor(result.order, result.dim, scrambled)
+    assert result == reference
+    assert list(result.entries.items()) == list(reference.entries.items())
+    assert all(type(value) is float for value in result.entries.values())
+
+
+def random_tensor_loop(order: int, dim: int, rng) -> SymmetricTensor:
+    """The stream ``random_tensor`` must reproduce, drawn one double per
+    canonical key in lexicographic order, an exact zero redrawn at once."""
+    entries = {}
+    for key in canonical_keys(order, dim):
+        value = rng.random()
+        while value == 0.0:
+            value = rng.random()
+        entries[key] = value
+    return SymmetricTensor(order, dim, entries)
+
+
+class ZeroingGenerator:
+    """``numpy.random.Generator.random`` over a bit generator, one double at
+    a time or in blocks from the same stream, with the draws at the given
+    stream positions replaced by an exact 0.0."""
+
+    _Generator = np.random.Generator  # kept if a test patches numpy's
+
+    def __init__(self, bit_generator, zeros):
+        self._inner = self._Generator(bit_generator)
+        self._zeros = set(zeros)
+        self.drawn = 0
+
+    def random(self, size=None):
+        values = self._inner.random(1 if size is None else size)
+        for i in range(len(values)):
+            if self.drawn + i in self._zeros:
+                values[i] = 0.0
+        self.drawn += len(values)
+        return values[0] if size is None else values
+
+
 def random_simplex_point(rng: np.random.Generator, dim: int) -> np.ndarray:
     return rng.dirichlet(np.ones(dim))
 

@@ -262,6 +262,20 @@ def test_usage_errors(capsys, tmp_path):
     code, _, _ = run(capsys, "detect", str(malformed))
     assert code == EXIT_DATA
 
+    # entry values and coefficients are numbers, not strings or bools
+    for val in ("2", True, None, 10**400):
+        malformed.write_text(
+            json.dumps({"order": 2, "dim": 2, "entries": [{"idx": [1, 1], "val": val}]})
+        )
+        code, out, err = run(capsys, "detect", str(malformed))
+        assert code == EXIT_DATA and out == "" and "real number" in err, val
+    for coeff in ("3", True):
+        malformed.write_text(json.dumps(
+            {"order": 2, "dim": 2, "monomials": [{"exponents": [2, 0], "coeff": coeff}]}
+        ))
+        code, out, err = run(capsys, "detect", str(malformed))
+        assert code == EXIT_DATA and out == "" and "real number" in err, coeff
+
     gen = ["--gen", "eta-ones", "--m", "3", "--n", "3", "--eta", "19"]
     for argv in (
         ["detect", *gen, "--sigma", "-0.5"],

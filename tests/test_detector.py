@@ -318,19 +318,20 @@ def _count_form_calls(monkeypatch, A) -> tuple[Verdict, int]:
 
 
 def test_search_carries_coefficients_and_vertex_values(monkeypatch):
-    # The root costs n form evaluations.  A bisection reads the midpoint's
-    # value off the split and evaluates the form only when that value lies
-    # within the rounding bound of the running minimum: here 15 of the 29
-    # bisections fall back.  Forced exact, every bisection evaluates.
+    # The root's vertex values are its corner coefficients and cost no
+    # form evaluation.  A bisection reads the midpoint's value off the
+    # split and evaluates the form only when that value lies within the
+    # rounding bound of the running minimum: here 15 of the 29 bisections
+    # fall back.  Forced exact, every bisection evaluates.
     A = eta_shift(9.01, ones_tensor(3, 3))
     verdict, calls = _count_form_calls(monkeypatch, A)
     assert verdict.kind is VerdictKind.COPOSITIVE and verdict.iterations == 59
     bisections = (verdict.iterations - 1) // 2
-    assert bisections == 29 and calls == 3 + 15
+    assert bisections == 29 and calls == 15
     monkeypatch.setattr(detector, "_SAFETY", math.inf)
     exact, calls = _count_form_calls(monkeypatch, A)
     assert exact.to_json_dict() == verdict.to_json_dict()
-    assert calls == 3 + bisections
+    assert calls == bisections
 
 
 def _midpoint_values(monkeypatch, A, cfg) -> tuple[Verdict, list[tuple[float, float, np.ndarray]]]:
@@ -355,7 +356,6 @@ def _midpoint_values(monkeypatch, A, cfg) -> tuple[Verdict, list[tuple[float, fl
         patch.setattr(detector, "split_coefficients", spy_split)
         patch.setattr(SymmetricTensor, "form", spy_form)
         verdict = detect(A, cfg)
-    values = values[A.dim:]  # past the root's vertices
     assert len(corners) == len(values)
     return verdict, [(c, v, x) for c, (v, x) in zip(corners, values)]
 

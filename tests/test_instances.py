@@ -6,6 +6,7 @@ import pytest
 from coposim import (
     SymmetricTensor,
     VerdictKind,
+    canonical_keys,
     choi_lam_tensor,
     detect,
     eta_shift,
@@ -20,7 +21,13 @@ from coposim import (
     robinson_tensor,
 )
 
-from _brute import barycentric_lattice
+from _brute import (
+    ZeroingGenerator,
+    assert_constructed,
+    barycentric_lattice,
+    random_symmetric,
+    random_tensor_loop,
+)
 
 
 def test_identity_and_ones():
@@ -38,6 +45,59 @@ def test_eta_shift():
     assert shifted[(1, 1, 2)] == -1.0
     zero = eta_shift(0.0, SymmetricTensor(3, 3))
     assert zero.nnz == 0
+
+
+def test_instance_constructors_build_what_the_public_constructor_builds():
+    rng = np.random.default_rng(31)
+    for m, n in ((1, 3), (2, 4), (3, 3), (4, 5), (6, 3)):
+        keys = list(canonical_keys(m, n))
+        diagonal = [(i,) * m for i in range(1, n + 1)]
+        assert_constructed(identity_tensor(m, n), [(key, 1.0) for key in diagonal])
+        assert_constructed(ones_tensor(m, n), [(key, 1.0) for key in keys])
+        for seed in (0, 7):
+            drawn = random_tensor(m, n, seed)
+            assert_constructed(drawn, drawn.entries.items())
+            assert_constructed(
+                random_tensor_negative_diagonal(m, n, seed),
+                [(key, -1.0 if key == keys[0] else value) for key, value in drawn.entries.items()],
+            )
+        dense = random_symmetric(rng, m, n)
+        sparse = SymmetricTensor(m, n, {k: v for k, v in dense.entries.items() if k[0] % 2})
+        for B, eta in ((dense, 2.5), (sparse, 2.5), (sparse, 0.0), (dense, dense[diagonal[-1]])):
+            # eta * identity - B, term by term as the arithmetic forms it
+            shift = {key: eta * 1.0 for key in diagonal}
+            union = sorted(set(B.entries) | set(diagonal))
+            pairs = [(k, shift.get(k, 0.0) + (-1.0) * B.entries.get(k, 0.0)) for k in union]
+            assert_constructed(eta_shift(eta, B), pairs)
+            arithmetic = eta * identity_tensor(m, n) - B
+            assert list(eta_shift(eta, B).entries.items()) == list(arithmetic.entries.items())
+
+
+def test_random_tensor_matches_the_one_draw_loop(monkeypatch):
+    # One block of K draws, zero draws dropped and topped up from the same
+    # stream, gives the one-at-a-time loop's values.
+    for m, n in ((1, 2), (3, 3), (4, 5), (6, 5), (3, 10)):
+        for seed in (0, 1, 2**64 - 1):
+            fast = random_tensor(m, n, seed)
+            slow = random_tensor_loop(m, n, np.random.Generator(np.random.Philox(key=seed)))
+            assert list(fast.entries.items()) == list(slow.entries.items())
+    # Exact zeros at stream positions 2, 5 (first block of K = 10) and 10
+    # (first top-up): the top-up runs twice.
+    zeros = (2, 5, 10)
+    stubs = []
+
+    def stub(bits):
+        stubs.append(ZeroingGenerator(bits, zeros))
+        return stubs[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "Generator", stub)
+        fast = random_tensor(3, 3, 5)
+    slow_stream = ZeroingGenerator(np.random.Philox(key=5), zeros)
+    slow = random_tensor_loop(3, 3, slow_stream)
+    assert list(fast.entries.items()) == list(slow.entries.items())
+    assert stubs[0].drawn == slow_stream.drawn == 13
+    assert fast != random_tensor(3, 3, 5) and 0.0 not in fast.entries.values()
 
 
 def test_random_tensor_determinism_and_range():
@@ -193,3 +253,12 @@ def test_polynomial_json_reader():
         polynomial_from_json('{"order": 6, "dim": 3}')
     with pytest.raises(ValueError):
         polynomial_from_json('{"order": 6, "dim": 3, "monomials": [{"coeff": 1.0}]}')
+    # Coefficients are Python or numpy ints and floats; not strings or bools.
+    for coeff in ('"3"', "true", "null", "[1]"):
+        with pytest.raises(ValueError, match="coefficient"):
+            polynomial_from_json(
+                '{"order": 2, "dim": 2, "monomials": [{"exponents": [2, 0], "coeff": %s}]}' % coeff
+            )
+    assert polynomial_from_json(
+        '{"order": 2, "dim": 2, "monomials": [{"exponents": [1, 1], "coeff": 3}]}'
+    ).entries == {(1, 2): 1.5}

@@ -12,16 +12,26 @@ import coposim
 from coposim import (
     SymmetricTensor,
     canonical_keys,
+    detect,
     eta_shift,
     from_polynomial,
     identity_tensor,
     motzkin_tensor,
     multiplicity,
     ones_tensor,
+    random_tensor,
 )
-from coposim.tensor import _multiplicities, _run_positions, canonical_key, split_coefficients
+from coposim.tensor import (
+    _key_plan,
+    _multiplicities,
+    _run_positions,
+    canonical_key,
+    corner_indices,
+    split_coefficients,
+)
 
 from _brute import (
+    assert_constructed,
     brute_form,
     brute_gradient,
     brute_inner,
@@ -67,6 +77,16 @@ def test_entry_validation():
         I[(0, 1, 2)]
     with pytest.raises(ValueError):
         I[(1, 2, 4)]
+    # Values are Python or numpy integers and floats, stored as floats;
+    # bools, strings and the rest are rejected, not passed to float().
+    for bad in (True, np.bool_(True), "1.5", None, 1 + 0j, [1.0], 10**400):
+        with pytest.raises(ValueError, match="real number"):
+            SymmetricTensor(2, 2, {(1, 1): 1.0, (1, 2): bad})
+    with pytest.raises(ValueError, match="real number"):
+        SymmetricTensor(2, 2, {(1, 1): True, (1, 2): "1.5"})
+    A = SymmetricTensor(2, 2, {(2, 2): np.float32(0.5), (1, 2): np.int64(-2), (1, 1): 3})
+    assert list(A.entries.items()) == [((1, 1), 3.0), ((1, 2), -2.0), ((2, 2), 0.5)]
+    assert all(type(value) is float for value in A.entries.values())
 
 
 def test_vectorized_multiplicities_are_exact():
@@ -150,6 +170,87 @@ def test_vector_space_operations():
     assert (-I)[(2, 2, 2)] == -1.0
     with pytest.raises(ValueError):
         I + ones_tensor(3, 2)
+
+
+def test_arithmetic_builds_what_the_public_constructor_builds():
+    # Sums, differences, multiples and negations hand their keys in
+    # canonical order; the public constructor sorts them itself.
+    rng = np.random.default_rng(23)
+    for m, n in ((1, 3), (2, 2), (3, 3), (4, 5)):
+        dense = random_symmetric(rng, m, n)
+        sparse, other = (
+            SymmetricTensor(m, n, {k: v for k, v in T.entries.items() if rng.random() < 0.4})
+            for T in (dense, random_symmetric(rng, m, n))
+        )
+        for A, B in ((dense, sparse), (sparse, dense), (sparse, other), (dense, -1.0 * dense)):
+            keys = sorted(set(A.entries) | set(B.entries))
+            a, b = (T.entries.get for T in (A, B))
+            assert_constructed(A + B, [(k, a(k, 0.0) + b(k, 0.0)) for k in keys])
+            assert_constructed(A - B, [(k, a(k, 0.0) + (-1.0) * b(k, 0.0)) for k in keys])
+            for t in (2.5, -1.0, 0.0, 3):
+                assert_constructed(t * A, [(k, t * v) for k, v in A.entries.items()])
+            assert_constructed(-A, [(k, -v) for k, v in A.entries.items()])
+
+
+def test_scaling_checks_overflow_and_drops_underflow():
+    A = SymmetricTensor(2, 2, {(1, 1): 1e10, (1, 2): 1e-300, (2, 2): 1.0})
+    for t in (1e300, -1e300):
+        with pytest.raises(ValueError, match="not finite"):
+            t * A
+    for t in (1e-100, -1e-100):  # 1e-400 underflows to a signed zero
+        assert list((t * A).entries) == [(1, 1), (2, 2)]
+
+
+def _plan(T: SymmetricTensor):
+    return _key_plan(T.order, T.dim, tuple(T.entries))
+
+
+def test_tensors_with_one_key_set_share_a_readonly_plan():
+    x = np.full(5, 0.2)
+    A = random_tensor(4, 5, 0)
+    # One key set three ways: another seed, a shift, and keys parsed afresh.
+    others = (random_tensor(4, 5, 1), eta_shift(3.0, A), SymmetricTensor.from_json(A.to_json()))
+    plan = _plan(A)
+    (columns, multiplicities), (rest, rows, counts, bounds) = plan
+    for T in others:
+        assert _plan(T) is plan
+        assert T._form_arrays()[0] is columns and T._gradient_arrays()[0] is rest
+        assert np.array_equal(T.gradient_form(x), loop_gradient(T, x))
+    assert A._form_arrays()[1] is not others[0]._form_arrays()[1]
+    for array in (*columns, multiplicities, *rest, rows, counts):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+    assert isinstance(bounds, tuple)
+    # A sparse key set gets its own plan, sized by its stored keys alone.
+    sparse = SymmetricTensor(6, 12, {(1,) * 6: 2.0, (1,) * 5 + (12,): -1.0, (3, 4, 5, 6, 7, 8): 1.0})
+    (sparse_columns, _), (sparse_rest, *_) = _plan(sparse)
+    assert [len(col) for col in sparse_columns] == [3] * 6 and len(sparse_rest) == 5
+    y = np.linspace(1.0, 2.0, 12)
+    assert sparse.form(y) == loop_form(sparse, y)
+    assert np.array_equal(sparse.gradient_form(y), loop_gradient(sparse, y))
+    # Every coefficient vector is a fresh array.
+    c = A.coefficient_vector()
+    c[:] = -1.0
+    assert A.coefficient_vector().min() > 0.0
+
+
+def test_root_vertex_values_are_the_corner_coefficients():
+    # detect reads the root's vertex values off its corner coefficients:
+    # bit for bit A.form(e_i), and +0.0 where the diagonal entry is absent.
+    rng = np.random.default_rng(29)
+    for m, n in ((2, 3), (3, 4), (6, 3), (4, 5)):
+        dense = random_symmetric(rng, m, n)
+        offdiagonal = SymmetricTensor(m, n, {k: v for k, v in dense.entries.items() if k[0] < k[-1]})
+        for A in (dense, offdiagonal, -1.0 * offdiagonal, SymmetricTensor(m, n)):
+            corners = A.coefficient_vector().take(corner_indices(m, n)).tolist()
+            forms = [A.form(e) for e in np.eye(n)]
+            assert corners == forms
+            signs = [math.copysign(1.0, v) for v in corners + forms]
+            assert signs[:n] == signs[n:]
+        assert all(math.copysign(1.0, v) == 1.0 for v in [offdiagonal.form(e) for e in np.eye(n)])
+    verdict = detect(SymmetricTensor(2, 3, {(1, 2): 1.0}))
+    assert verdict.iterations == 1 and math.copysign(1.0, verdict.min_vertex_value) == 1.0
 
 
 def test_norm_examples():
@@ -280,13 +381,19 @@ def test_brute_force_equivalence():
 @pytest.mark.parametrize("m, n", [(3, 3), (4, 4), (6, 3), (6, 5), (4, 8), (3, 10), (22, 3)])
 def test_form_and_gradient_match_reference_loops_exactly(m, n):
     rng = np.random.default_rng(1000 * m + n)
+    previous = SymmetricTensor(m, n)
     for trial in range(5):
         A = random_symmetric(rng, m, n)
         if trial % 2:  # some keys absent
             A = SymmetricTensor(m, n, {k: v for k, v in A.entries.items() if rng.random() < 0.5})
-        for x in (rng.uniform(-1, 1, size=n), rng.dirichlet(np.ones(n)), np.eye(n)[0]):
-            assert A.form(x) == loop_form(A, x)
-            assert np.array_equal(A.gradient_form(x), loop_gradient(A, x))
+        # and tensors built by arithmetic, whose keys skip canonicalization
+        built = (A, A + previous, -2.5 * A, eta_shift(1.5, A))
+        previous = A
+        for T, x in itertools.product(
+            built, (rng.uniform(-1, 1, size=n), rng.dirichlet(np.ones(n)), np.eye(n)[0])
+        ):
+            assert T.form(x) == loop_form(T, x)
+            assert np.array_equal(T.gradient_form(x), loop_gradient(T, x))
 
 
 def test_split_coefficients_track_the_congruence():
