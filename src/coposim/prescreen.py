@@ -4,10 +4,17 @@ Each check can only ever *disprove* copositivity; a pass carries no
 certificate.  Every failure returns a witness that can be re-verified
 independently by the inequality that produced it.  Each check takes a
 sign tolerance ``tau``, which must be finite and nonnegative.
+
+Face samples are computed in blocks of about ``2**16`` terms, so memory
+stays bounded at any depth, and each is bit-identical to ``A.form`` at
+the embedded point: its terms are formed as ``form`` forms them, keys off
+the face add exact zeros there, and ``math.fsum`` is correctly rounded,
+so neither those zeros nor the order of the terms changes a sum.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -15,7 +22,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .tensor import SymmetricTensor, integer
+from .tensor import SymmetricTensor, _key_index, _key_plan, canonical_keys, integer
 
 __all__ = [
     "DIAGONAL",
@@ -31,6 +38,7 @@ __all__ = [
 DIAGONAL = "Diagonal"
 ZERO_POINT_GRADIENT = "ZeroPointGradient"
 SUBTENSOR_SAMPLE = "SubtensorSample"
+_BLOCK_TERMS = 2**16  # face-sample terms evaluated at once
 
 
 @dataclass(frozen=True)
@@ -71,15 +79,52 @@ def _interior_lattice(dim: int, d: int) -> Iterator[np.ndarray]:
         yield np.array([b - a for a, b in zip(cuts, cuts[1:])], dtype=float) / d
 
 
-def _check_tau(tau: float) -> None:
+def _checked(tau: float, grid_depth=1) -> int:
+    """Check ``tau``, then return ``grid_depth`` as a positive ``int``."""
     if not (math.isfinite(tau) and tau >= 0):
         raise ValueError(f"tau must be finite and nonnegative, got {tau}")
+    grid_depth = integer(grid_depth, "grid_depth")
+    if grid_depth < 1:
+        raise ValueError(f"grid_depth must be >= 1, got {grid_depth}")
+    return grid_depth
+
+
+@functools.lru_cache(maxsize=64)
+def _face_ranks(order: int, dim: int, faces: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """Read-only positions among the canonical keys of shape ``(order, dim)``
+    of the keys in each face (a sorted index tuple), one row per face."""
+    index, keys = _key_index(order, dim), _key_index(order, len(faces[0]))
+    ranks = np.array([[index[tuple(face[i - 1] for i in key)] for key in keys] for face in faces])
+    ranks.setflags(write=False)
+    return ranks
+
+
+def _sample_faces(A: SymmetricTensor, faces: tuple, grid_depth: int, tau: float):
+    """The first sample below ``-tau`` on ``faces`` (sorted index tuples of
+    one size), in face and then lattice order, as a failed report, or
+    ``None``.  A face with a negative sample drops the faces after it."""
+    s = len(faces[0])
+    (columns, multiplicities), _ = _key_plan(A.order, s, tuple(canonical_keys(A.order, s)))
+    weights = multiplicities * A.coefficient_vector()[_face_ranks(A.order, A.dim, faces)]
+    found, lattice = None, _interior_lattice(s, grid_depth + s - 1)
+    step = max(1, _BLOCK_TERMS // weights.size)
+    while faces and len(points := np.fromiter(itertools.islice(lattice, step), (float, s))):
+        products = functools.reduce(np.multiply, (points[:, c] for c in columns))  # as ``form``
+        terms = (weights[:, None, :] * products).reshape(-1, products.shape[1])
+        hits = np.flatnonzero(np.fromiter(map(math.fsum, terms.tolist()), float, len(terms)) < -tau)
+        if hits.size:
+            face, point = divmod(int(hits[0]), len(points))
+            witness = np.zeros(A.dim)
+            witness[np.array(faces[face]) - 1] = points[point]
+            found = PrescreenReport(False, SUBTENSOR_SAMPLE, witness, faces[face])
+            faces, weights = faces[:face], weights[:face]
+    return found
 
 
 def diagonal_check(A: SymmetricTensor, tau: float = 1e-12) -> PrescreenReport:
     """A negative diagonal entry refutes copositivity outright (the form
     value at the corresponding unit vector is that entry)."""
-    _check_tau(tau)
+    _checked(tau)
     for i in range(1, A.dim + 1):
         value = A[(i,) * A.order]
         if value < -tau:
@@ -100,7 +145,7 @@ def zero_point_gradient_check(
     coordinate sum; the check only applies when the form vanishes there
     (within ``tau``), and raises otherwise.
     """
-    _check_tau(tau)
+    _checked(tau)
     x = np.asarray(x, dtype=float)
     if x.shape != (A.dim,):
         raise ValueError(f"point shape {x.shape} does not match dim {A.dim}")
@@ -140,47 +185,28 @@ def subtensor_sample_refute(
     lattice of denominator ``g + len(J) - 1``.  Passing certifies nothing
     (sampling is one-sided).
 
-    Each sample is the form of ``A`` at the embedded point: the terms of
-    keys inside ``J`` are those of the subtensor's form, and every other
-    term is an exact zero, so no subtensor is built.
+    Each sample is ``A.form`` at the embedded point, bit for bit, with no
+    subtensor built; the module docstring says why, and bounds the blocks.
     """
-    _check_tau(tau)
+    grid_depth = _checked(tau, grid_depth)
     J = tuple(sorted({integer(j) for j in J}))
     if not J:
         raise ValueError("index subset must be nonempty")
     if J[0] < 1 or J[-1] > A.dim:
         raise ValueError(f"index subset {list(J)} out of range 1..{A.dim}")
-    grid_depth = integer(grid_depth, "grid_depth")
-    if grid_depth < 1:
-        raise ValueError(f"grid_depth must be >= 1, got {grid_depth}")
-    d = grid_depth + len(J) - 1
-    support = np.array(J) - 1
-    for x in _interior_lattice(len(J), d):
-        point = np.zeros(A.dim)
-        point[support] = x
-        if A.form(point) < -tau:
-            return PrescreenReport(
-                False, violated_condition=SUBTENSOR_SAMPLE, witness=point, J=J
-            )
-    return PrescreenReport(True, J=J)
+    return _sample_faces(A, (J,), grid_depth, tau) or PrescreenReport(True, J=J)
 
 
-def run_prescreen(
-    A: SymmetricTensor,
-    grid_depth: int = 2,
-    tau: float = 1e-12,
-) -> PrescreenReport:
+def run_prescreen(A: SymmetricTensor, grid_depth: int = 2, tau: float = 1e-12) -> PrescreenReport:
     """Fixed-order refuter battery, stopping at the first failure:
     diagonal entries, then subtensor sampling on all pairs of indices.
 
     Singletons are not sampled: the only sample of a one-index subtensor is
     its diagonal entry, which the diagonal check has already passed.
     """
+    grid_depth = _checked(tau, grid_depth)
     report = diagonal_check(A, tau)
-    if not report.passed:
-        return report
-    for J in itertools.combinations(range(1, A.dim + 1), 2):
-        report = subtensor_sample_refute(A, J, grid_depth, tau)
-        if not report.passed:
-            return report
-    return PrescreenReport(True)
+    pairs = tuple(itertools.combinations(range(1, A.dim + 1), 2))
+    if report.passed and pairs:
+        return _sample_faces(A, pairs, grid_depth, tau) or report
+    return report

@@ -293,7 +293,7 @@ class SymmetricTensor:
         return (-1.0) * self
 
     def __mul__(self, t) -> "SymmetricTensor":
-        if not isinstance(t, (int, float)):
+        if isinstance(t, bool) or not isinstance(t, numbers.Real):  # numpy bools are not Real
             return NotImplemented
         products = map(float(t).__mul__, self._entries.values())
         return SymmetricTensor(self._order, self._dim, _Canonical(zip(self._entries, products)))
@@ -405,6 +405,12 @@ class SymmetricTensor:
         return cls.from_json_dict(json.loads(text))
 
 
+@functools.lru_cache(maxsize=64)
+def _key_index(order: int, dim: int) -> Mapping[tuple[int, ...], int]:
+    """Read-only map from each canonical key of shape ``(order, dim)`` to its position."""
+    return MappingProxyType({key: t for t, key in enumerate(canonical_keys(order, dim))})
+
+
 @functools.lru_cache(maxsize=256)
 def _split_table(order: int, dim: int, p: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gather plan for :func:`split_coefficients`, built the first time the
@@ -417,11 +423,10 @@ def _split_table(order: int, dim: int, p: int, q: int) -> tuple[np.ndarray, np.n
     Keys without ``a`` copy over."""
     if not 0 <= p < q < dim:
         raise ValueError(f"({p}, {q}) is not an edge p < q of a {dim}-vertex cell")
-    keys = list(canonical_keys(order, dim))
-    index = {key: t for t, key in enumerate(keys)}
+    index = _key_index(order, dim)
     rows, sources, weights = [], [], []
     for child, (a, b) in enumerate(((p + 1, q + 1), (q + 1, p + 1))):
-        for t, key in enumerate(keys, start=child * len(keys)):
+        for t, key in enumerate(index, start=child * len(index)):
             k = key.count(a)
             rest = tuple(i for i in key if i != a)
             for j in range(k + 1):
@@ -439,8 +444,7 @@ def corner_indices(order: int, dim: int) -> tuple[int, ...]:
     """Entry ``v`` is the position of the key ``(v + 1, ..., v + 1)``
     among the canonical keys of shape ``(order, dim)``: a cell's Bernstein
     coefficient there is the form's value at its vertex ``v``."""
-    index = {key: t for t, key in enumerate(canonical_keys(order, dim))}
-    return tuple(index[(i,) * order] for i in range(1, dim + 1))
+    return tuple(_key_index(order, dim)[(i,) * order] for i in range(1, dim + 1))
 
 
 def split_coefficients(coefficients: np.ndarray, order: int, dim: int, p: int, q: int) -> np.ndarray:

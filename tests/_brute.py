@@ -10,8 +10,8 @@ import math
 
 import numpy as np
 
-from coposim import SymmetricTensor, canonical_keys, multiplicity
-from coposim.prescreen import DIAGONAL, SUBTENSOR_SAMPLE, PrescreenReport
+from coposim import SymmetricTensor, canonical_keys, diagonal_check, multiplicity
+from coposim.prescreen import DIAGONAL, SUBTENSOR_SAMPLE, PrescreenReport, _interior_lattice
 
 
 def dense_of(A: SymmetricTensor) -> np.ndarray:
@@ -195,6 +195,59 @@ def subtensor_prescreen(A: SymmetricTensor, grid_depth: int = 2,
                 return PrescreenReport(False, violated_condition=SUBTENSOR_SAMPLE,
                                        witness=witness, J=J)
     return PrescreenReport(True)
+
+
+def pointwise_sample_refute(A: SymmetricTensor, J, grid_depth: int = 2,
+                            tau: float = 1e-12) -> PrescreenReport:
+    """Face sampling with one ``A.form`` call per lattice point: the
+    interior lattice of the face ``J`` (1-based), of denominator
+    ``grid_depth + len(J) - 1``, in order, each point embedded with zeros
+    off ``J``; the first sample below ``-tau`` refutes."""
+    J = tuple(sorted(J))
+    support = np.array(J) - 1
+    for x in _interior_lattice(len(J), grid_depth + len(J) - 1):
+        point = np.zeros(A.dim)
+        point[support] = x
+        if A.form(point) < -tau:
+            return PrescreenReport(False, violated_condition=SUBTENSOR_SAMPLE,
+                                   witness=point, J=J)
+    return PrescreenReport(True, J=J)
+
+
+def pointwise_prescreen(A: SymmetricTensor, grid_depth: int = 2,
+                        tau: float = 1e-12) -> PrescreenReport:
+    """The prescreen battery over :func:`pointwise_sample_refute`: the
+    diagonal check, then every pair in lexicographic order."""
+    report = diagonal_check(A, tau)
+    pairs = itertools.combinations(range(1, A.dim + 1), 2)
+    while report.passed and (J := next(pairs, None)):
+        report = pointwise_sample_refute(A, J, grid_depth, tau)
+    return report if not report.passed else PrescreenReport(True)
+
+
+def split_table_loop(order: int, dim: int, p: int, q: int):
+    """The gather plan of ``split_coefficients`` for edge ``(p, q)``, built
+    key by key over tuple keys with its own index dict: rows, sources and
+    weights as arrays, child 0 replacing ``p`` and child 1 replacing ``q``."""
+    keys = list(canonical_keys(order, dim))
+    index = {key: t for t, key in enumerate(keys)}
+    rows, sources, weights = [], [], []
+    for child, (a, b) in enumerate(((p + 1, q + 1), (q + 1, p + 1))):
+        for t, key in enumerate(keys, start=child * len(keys)):
+            k = key.count(a)
+            rest = tuple(i for i in key if i != a)
+            for j in range(k + 1):
+                rows.append(t)
+                sources.append(index[tuple(sorted(rest + (b,) * j + (a,) * (k - j)))])
+                weights.append(math.comb(k, j) / 2**k)
+    return np.array(rows, dtype=np.intp), np.array(sources, dtype=np.intp), np.array(weights)
+
+
+def corner_indices_loop(order: int, dim: int) -> tuple[int, ...]:
+    """Positions of the diagonal keys ``(i, ..., i)`` among the canonical
+    keys, found by a scan over tuple keys."""
+    keys = list(canonical_keys(order, dim))
+    return tuple(keys.index((i,) * order) for i in range(1, dim + 1))
 
 
 def brute_mixed(dense: np.ndarray, x, k: int, y) -> float:

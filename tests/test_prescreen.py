@@ -1,3 +1,6 @@
+import itertools
+import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -7,22 +10,33 @@ from coposim import (
     DetectorConfig,
     SymmetricTensor,
     VerdictKind,
+    canonical_keys,
     detect,
     diagonal_check,
     eta_shift,
     identity_tensor,
     motzkin_tensor,
+    multiplicity,
     ones_tensor,
     random_tensor,
     random_tensor_negative_diagonal,
     run_prescreen,
+    spectral_radius,
     subtensor_sample_refute,
     verify_witness,
     zero_point_gradient_check,
 )
+from coposim import prescreen
 from coposim.prescreen import DIAGONAL, SUBTENSOR_SAMPLE, ZERO_POINT_GRADIENT, _interior_lattice
 
-from _brute import barycentric_lattice, interior_lattice, random_symmetric, subtensor_prescreen
+from _brute import (
+    barycentric_lattice,
+    interior_lattice,
+    pointwise_prescreen,
+    pointwise_sample_refute,
+    random_symmetric,
+    subtensor_prescreen,
+)
 
 # Zero at e1, where the contraction is (0, -0.1): the form slopes down
 # into the simplex.
@@ -140,6 +154,16 @@ def test_subtensor_sample_refute():
             subtensor_sample_refute(E, J)
 
 
+def test_run_prescreen_checks_grid_depth_first():
+    # A refuting diagonal, or a single index with no pair to sample, used
+    # to let a bad depth through unchecked.
+    for A in (random_tensor_negative_diagonal(3, 3, 0), ones_tensor(3, 1), ones_tensor(2, 3)):
+        for depth in (0, -3, 2.5, True, "2"):
+            with pytest.raises(ValueError, match="grid_depth"):
+                run_prescreen(A, grid_depth=depth)
+        assert run_prescreen(A, 2.0).to_json_dict() == run_prescreen(A, 2).to_json_dict()
+
+
 def test_run_prescreen_order_and_short_circuit():
     # fails both the diagonal and subtensor checks; diagonal runs first
     bad_diagonal = random_tensor_negative_diagonal(3, 3, 1)
@@ -227,3 +251,118 @@ def test_report_json():
     assert obj["passed"] is False
     assert obj["violated_condition"] == ZERO_POINT_GRADIENT
     assert obj["witness"] == [[1.0, 0.0], [0.0, 1.0]]
+
+
+TAUS = (0.0, 1e-12, 1e-3)
+
+
+def _assert_matches_pointwise(A, depth, tau, faces, kinds):
+    """``run_prescreen`` and ``subtensor_sample_refute`` on each face report
+    exactly what one ``A.form`` call per embedded lattice point reports."""
+    expected = pointwise_prescreen(A, depth, tau).to_json_dict()
+    assert run_prescreen(A, depth, tau).to_json_dict() == expected, (A, depth, tau)
+    kinds["battery", expected["violated_condition"]] += 1
+    for J in faces:
+        expected = pointwise_sample_refute(A, J, depth, tau).to_json_dict()
+        assert subtensor_sample_refute(A, J, depth, tau).to_json_dict() == expected, (A, J)
+        kinds["face", expected["passed"]] += 1
+
+
+def test_batched_face_samples_match_the_pointwise_oracle():
+    rng = np.random.default_rng(67)
+    kinds = Counter()
+    tensors = []
+    for trial in range(45):
+        m, n = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        A = random_symmetric(rng, m, n, lo=float(rng.choice([-0.05, -0.2, -0.6])))
+        keep = rng.random(len(A.entries)) < (0.5 if trial % 2 else 1.0)  # odd: sparse
+        entries = {k: abs(v) if len(set(k)) == 1 else v
+                   for (k, v), kept in zip(A.entries.items(), keep) if kept}
+        tensors.append(SymmetricTensor(m, n, entries))
+        B = random_tensor(m + 1, n, trial)  # order >= 2 for the power method
+        rho = spectral_radius(B).rho
+        tensors.append(eta_shift(rho + float(rng.choice([-1.0, -0.1, 0.1, 1.0])), B))
+    for A in tensors:
+        faces = [J for size in range(1, A.dim + 1)
+                 for J in itertools.islice(itertools.combinations(range(1, A.dim + 1), size), 3)]
+        for depth in range(1, 5):
+            for tau in TAUS:
+                _assert_matches_pointwise(A, depth, tau, faces, kinds)
+    assert kinds["battery", SUBTENSOR_SAMPLE] >= 100 and kinds["battery", None] >= 100
+    assert kinds["face", False] >= 300 and kinds["face", True] >= 300
+
+
+def test_face_samples_in_small_blocks_keep_face_then_lattice_order(monkeypatch):
+    # Blocks of a few terms split each lattice over many blocks, so a later
+    # face may refute in an earlier block than the face that decides.
+    rng = np.random.default_rng(73)
+    kinds = Counter()
+    for block in (1, 6, 40):
+        monkeypatch.setattr(prescreen, "_BLOCK_TERMS", block)
+        for trial in range(30):
+            m, n, depth = (int(v) for v in rng.integers((2, 2, 2), (5, 6, 7)))
+            A = random_symmetric(rng, m, n, lo=-1.5)
+            A = SymmetricTensor(m, n, {k: abs(v) if len(set(k)) == 1 else v
+                                       for k, v in A.entries.items()})
+            faces = [J for size in (2, min(n, 3))
+                     for J in itertools.islice(itertools.combinations(range(1, n + 1), size), 3)]
+            _assert_matches_pointwise(A, depth, TAUS[trial % 3], faces, kinds)
+    assert kinds["battery", SUBTENSOR_SAMPLE] >= 60 and kinds["face", False] >= 200, kinds
+
+
+def test_samples_at_the_tolerance_match_form_to_the_last_bit():
+    # On the face (i, j), the diagonal term at the face's first lattice
+    # point is cancelled by a large negative term, and one entry between
+    # them in key order is walked ulp by ulp until the form there is
+    # exactly -tau.  That tensor, and those an ulp of the entry below and
+    # above it, must be decided as A.form decides them; summing the terms
+    # in order instead loses the small one against the large ones.  Every
+    # entry off the face is nonnegative (or absent), so only this face, at
+    # this point, can refute.
+    rng = np.random.default_rng(71)
+    kinds, exact = Counter(), Counter()
+    for trial in range(90):
+        tau = TAUS[trial % 3]
+        m, n, depth = (int(v) for v in rng.integers((3, 2, 1), (6, 5, 5)))
+        i, j = sorted(rng.choice(range(1, n + 1), 2, replace=False).tolist())
+        entries = {key: rng.uniform(0.0, 1.0) for key in canonical_keys(m, n)
+                   if not set(key) <= {i, j} and rng.random() < 0.7}
+        point = np.zeros(n)
+        point[[i - 1, j - 1]] = next(_interior_lattice(2, depth + 1))
+
+        def term(key):
+            return multiplicity(key) * math.prod(point[t - 1] for t in key)
+
+        k = int(rng.integers(2, m))
+        key, large = (i,) * k + (j,) * (m - k), (i,) * (k - 1) + (j,) * (m - k + 1)
+        entries[(i,) * m] = int(rng.integers(1, 65)) / 8
+        entries[large] = -entries[(i,) * m] * term((i,) * m) / term(large)
+        rest = SymmetricTensor(m, n, entries).form(point)
+
+        def tuned(value):
+            return SymmetricTensor(m, n, {**entries, key: float(value)})
+
+        walk = [(-tau - rest) / term(key)]
+        for _ in range(24):
+            walk = [np.nextafter(walk[0], -np.inf), *walk, np.nextafter(walk[-1], np.inf)]
+        on = [v for v in walk if tuned(v).form(point) == -tau]
+        if not on:
+            continue
+        exact[tau] += 1
+        for value in (np.nextafter(on[0], -np.inf), on[0], np.nextafter(on[0], np.inf)):
+            _assert_matches_pointwise(tuned(value), depth, tau, [(i, j)], kinds)
+    assert min(exact[tau] for tau in TAUS) >= 15, exact
+    assert kinds["face", False] >= 30 and kinds["face", True] >= 30, kinds
+
+
+def test_deep_face_sampling_runs_in_bounded_memory():
+    A = eta_shift(100.0, ones_tensor(3, 6))  # every pair sample passes
+    run_prescreen(A)  # the shape's cached plans are built outside the trace
+    tracemalloc.start()
+    try:
+        report = run_prescreen(A, grid_depth=20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 8 * 2**20, peak

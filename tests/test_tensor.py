@@ -22,9 +22,11 @@ from coposim import (
     random_tensor,
 )
 from coposim.tensor import (
+    _key_index,
     _key_plan,
     _multiplicities,
     _run_positions,
+    _split_table,
     canonical_key,
     corner_indices,
     split_coefficients,
@@ -32,6 +34,7 @@ from coposim.tensor import (
 
 from _brute import (
     assert_constructed,
+    corner_indices_loop,
     brute_form,
     brute_gradient,
     brute_inner,
@@ -44,6 +47,7 @@ from _brute import (
     loop_gradient,
     principal_subtensor,
     random_symmetric,
+    split_table_loop,
 )
 
 
@@ -170,6 +174,14 @@ def test_vector_space_operations():
     assert (-I)[(2, 2, 2)] == -1.0
     with pytest.raises(ValueError):
         I + ones_tensor(3, 2)
+    # A bool is no scale factor, numpy's included; numpy numbers are.
+    for flag in (True, False, np.True_, np.False_):
+        with pytest.raises(TypeError):
+            flag * E
+        with pytest.raises(TypeError):
+            E * flag
+    for scalar in (np.int64(2), np.int32(2), np.float64(2.0), np.float32(2.0)):
+        assert scalar * E == E * scalar == 2.0 * E
 
 
 def test_arithmetic_builds_what_the_public_constructor_builds():
@@ -461,6 +473,24 @@ def test_split_tables_are_built_on_demand_bounded_and_readonly():
         _split_table(2, 17, p, q)
     after = _split_table.cache_info()
     assert (after.hits - before.hits, after.misses - before.misses) == (136, 0)
+
+
+def test_split_tables_and_corners_match_the_tuple_key_builders():
+    # Every shape of the golden sweep, plus two larger ones: the shared
+    # key index must give the plans a key-by-key build gives, read-only.
+    from test_equivalence_sweep import SHAPES
+
+    for m, n in (*SHAPES, (6, 8), (3, 12)):
+        assert corner_indices(m, n) == corner_indices_loop(m, n), (m, n)
+        for p, q in itertools.combinations(range(n), 2):
+            for ours, loop in zip(_split_table(m, n, p, q), split_table_loop(m, n, p, q)):
+                assert ours.dtype == loop.dtype and np.array_equal(ours, loop), (m, n, p, q)
+                assert not ours.flags.writeable
+    index = _key_index(3, 4)
+    assert list(index) == list(canonical_keys(3, 4)) and list(index.values()) == list(range(20))
+    assert _key_index(np.int64(3), 4.0) is index  # cached by value
+    with pytest.raises(TypeError):
+        index[(1, 1, 1)] = 5
 
 
 def test_nonfinite_entries_rejected():
