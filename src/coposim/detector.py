@@ -51,14 +51,25 @@ root carries the smallest of its corner coefficients, which are its vertex
 values, and the first vertex in list order below ``-tau`` if there is
 one.  Every entry also carries its smallest coefficient.
 
-A frontier entry also carries the cell's ``(n, n)`` matrix of squared
-edge lengths, so no bisection recomputes it.  A bisection computes one
-row, the squared distances from every vertex to the midpoint, and each
-child takes it as the row and column of the vertex it replaced.  Every
-entry is the ``diff @ diff`` of its two vertex rows, bit for bit, and the
-edge bisected is the first maximum of the upper triangle in lexicographic
-order.  Past depth 26 squared lengths round, so these exact bits and this
-tie-break are what keep the search the same cell for cell.
+A child's frontier entry holds references, not copies: its parent's
+read-only cell, the index of the vertex it replaced, the midpoint, the
+parent's squared edge lengths (the upper triangle as a list, pairs in
+lexicographic order) and the midpoint's row of squared distances to the
+parent's vertices.  About half of the cells a search pops are leaves,
+certified or refuted on the values they carry; a refuted child's witness
+is the midpoint, the same bits as its row in the child's cell.  So the
+child's cell, its parent's copied with one row replaced and made
+read-only, is built only when it is bisected or kept as a certificate,
+and its lengths, its parent's copied with the ``n - 1`` slots of the
+replaced vertex taken from the row, only when it is bisected or
+``min_diameter`` is set.  Siblings share the parent's cell, the midpoint,
+the lengths and the row, and nothing writes into them.  The root enters
+as the identity with its vertex ``first`` replaced by itself.
+
+Every squared length is the ``diff @ diff`` of its two vertex rows, bit
+for bit, and the edge bisected is the first maximum of the list.  Past
+depth 26 squared lengths round, so these exact bits and this tie-break
+are what keep the search the same cell for cell.
 
 All sign decisions go through a single tolerance ``tau``: "negative" means
 below ``-tau``, "nonnegative" means at least ``-tau``.  With the cellwise
@@ -79,13 +90,14 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import SymmetricTensor, corner_indices, integer, split_coefficients
+from .tensor import SymmetricTensor, corner_indices, integer, real, split_coefficients
 
 __all__ = [
     "DetectorConfig",
@@ -117,7 +129,7 @@ class DetectorConfig:
         if integer(self.max_iterations, "max_iterations") < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         for name in ("tolerance", "sigma", "min_diameter"):
-            value = getattr(self, name)
+            value = real(getattr(self, name), name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         if not isinstance(self.keep_certificates, bool):
@@ -175,11 +187,15 @@ class Verdict:
 
 
 @functools.lru_cache(maxsize=64)
-def _upper_triangle(n: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Flat indices into an ``(n, n)`` matrix of its pairs ``p < q``, in
-    lexicographic order, and those pairs."""
-    rows, cols = np.triu_indices(n, 1)
-    return rows * n + cols, list(zip(rows.tolist(), cols.tolist()))
+def _edges(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[tuple[int, int], ...], ...]]:
+    """The pairs ``p < q`` of ``n`` vertices in lexicographic order, and per
+    vertex ``v`` its slots: ``(k, j)`` for every other vertex ``j``, where
+    ``k`` is the position of the pair of ``v`` and ``j``."""
+    pairs = tuple(itertools.combinations(range(n), 2))
+    slots = tuple(
+        tuple((k, p + q - v) for k, (p, q) in enumerate(pairs) if v in (p, q)) for v in range(n)
+    )
+    return pairs, slots
 
 
 def _row_dots(D: np.ndarray) -> np.ndarray:
@@ -211,23 +227,29 @@ def detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdict:
     m, n = A.order, A.dim
     tau = cfg.tolerance
     floor = -cfg.sigma - tau
+    pairs, slots = _edges(n)
+    # Frontier entries are (parent cell, replaced vertex, new vertex,
+    # parent's squared edge lengths, squared distances to the new vertex,
+    # Bernstein coefficients, their smallest, the new vertex's value,
+    # depth), popped last in first out; the cell and its lengths are built
+    # from them only when needed.  The root's coefficients are A's
+    # entries: its barycentric coordinates are the coordinates themselves,
+    # and its vertex values are its corner coefficients, the diagonal
+    # entries, bit for bit what ``A.form`` gives there.  Its squared edge
+    # lengths, and its distances to any other vertex, are all 2.0, exactly
+    # what ``diff @ diff`` gives on the identity's rows.
     root = np.eye(n)
     root.setflags(write=False)
-    upper, pairs = _upper_triangle(n)
-    # Frontier entries are (cell, squared edge lengths, Bernstein
-    # coefficients, their smallest, carried vertex, its value, depth),
-    # popped last in first out.  The root's coefficients are A's entries:
-    # its barycentric coordinates are the coordinates themselves, and its
-    # vertex values are its corner coefficients, the diagonal entries, bit
-    # for bit what ``A.form`` gives there.  Its squared edge lengths are
-    # all 2.0, exactly what ``diff @ diff`` gives on the identity's rows.
     coefficients = A.coefficient_vector()
     corner = corner_indices(m, n)
     values = coefficients.take(corner).tolist()
     # The midpoint filter's error unit; max|A| is the root's largest |coefficient|.
     unit = _SAFETY * (m + 2) * 2.0**-53 * float(np.abs(coefficients).max())
     first = next((i for i, value in enumerate(values) if value < -tau), 0)
-    frontier = [(root, 2.0 - 2.0 * root, coefficients, coefficients.min(), first, min(values), 0)]
+    row = [2.0] * n
+    row[first] = 0.0
+    frontier = [(root, first, root[first], [2.0] * len(pairs), row, coefficients,
+                 coefficients.min(), min(values), 0)]
     iterations = 0
     max_depth = 0
     min_vertex = math.inf
@@ -245,29 +267,43 @@ def detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdict:
             **kw,
         )
 
+    def built(parent: np.ndarray, moved: int, vertex: np.ndarray) -> np.ndarray:
+        cell = parent.copy()
+        cell[moved] = vertex
+        cell.setflags(write=False)
+        return cell
+
+    def measured(lengths: list[float], row: list[float], moved: int) -> list[float]:
+        lengths = lengths.copy()
+        for k, j in slots[moved]:
+            lengths[k] = row[j]
+        return lengths
+
     while frontier:
         if iterations >= cfg.max_iterations:
             return verdict(VerdictKind.UNDECIDED)
-        cell, lengths, coefficients, low, vertex, value, depth = frontier.pop()
+        parent, moved, vertex, lengths, row, coefficients, low, value, depth = frontier.pop()
         iterations += 1
-        # The diagonal is zero, so the largest entry is the longest edge's.
-        if cfg.min_diameter > 0.0 and math.sqrt(lengths.max()) < cfg.min_diameter:
+        edges = cfg.min_diameter > 0.0 and measured(lengths, row, moved)
+        if edges and math.sqrt(max(edges)) < cfg.min_diameter:
             return verdict(VerdictKind.UNDECIDED)
-        # Only the carried vertex is new to this cell; its others were
-        # tested and folded in with its parent.
+        # Only the new vertex is untested; the cell's others were tested
+        # and folded in with its parent.
         min_vertex = min(min_vertex, value)
         if value < -tau:
-            return verdict(VerdictKind.NOT_COPOSITIVE, witness=np.array(cell[vertex]))
+            return verdict(VerdictKind.NOT_COPOSITIVE, witness=np.array(vertex))
         if low >= floor:
             if certified is not None:
-                certified.append(cell)
+                certified.append(built(parent, moved, vertex))
             continue
+        cell = built(parent, moved, vertex)
+        edges = edges or measured(lengths, row, moved)
         # The first maximum in lexicographic order, as a strict scan finds it.
-        p, q = pairs[int(lengths.take(upper).argmax())]
+        p, q = pairs[edges.index(max(edges))]
         midpoint = 0.5 * (cell[p] + cell[q])
-        # Squared distances from every vertex to the midpoint: the row and
-        # column of the vertex the midpoint replaces.
-        row = _row_dots(cell - midpoint)
+        # Squared distances from every vertex to the midpoint: the lengths
+        # of the edges at the vertex the midpoint replaces.
+        row = _row_dots(cell - midpoint).tolist()
         children = split_coefficients(coefficients, m, n, p, q)
         # The first child's corner at p is the midpoint's value up to
         # rounding.  Within the bound of min_vertex, or once the midpoint
@@ -275,17 +311,12 @@ def detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdict:
         mid = children.item(corner[p])
         if depth >= 50 or mid - (depth + 3) * unit <= min_vertex:
             mid = A.form(midpoint)
-        # The first child replaces p, the second q; the second is popped next.
+        # The first child replaces p, the second q; the second is popped
+        # next.  Both hold this cell, the midpoint, the lengths and the
+        # row, and nothing writes into them.
         lows = np.minimum.reduce(children, axis=1).tolist()
-        for child_coefficients, low, moved in zip(children, lows, (p, q)):
-            child = cell.copy()
-            child[moved] = midpoint
-            child.setflags(write=False)
-            child_lengths = lengths.copy()
-            child_lengths[moved] = row
-            child_lengths[:, moved] = row
-            child_lengths[moved, moved] = 0.0
-            frontier.append((child, child_lengths, child_coefficients, low, moved, mid, depth + 1))
+        frontier.append((cell, p, midpoint, edges, row, children[0], lows[0], mid, depth + 1))
+        frontier.append((cell, q, midpoint, edges, row, children[1], lows[1], mid, depth + 1))
         max_depth = max(max_depth, depth + 1)
     return verdict(
         VerdictKind.COPOSITIVE,

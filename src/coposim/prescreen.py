@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .tensor import SymmetricTensor, _key_index, _key_plan, canonical_keys, integer
+from .tensor import SymmetricTensor, _key_index, _key_plan, canonical_keys, integer, real
 
 __all__ = [
     "DIAGONAL",
@@ -70,18 +70,21 @@ class PrescreenReport:
         }
 
 
-def _interior_lattice(dim: int, d: int) -> Iterator[np.ndarray]:
-    """Lattice points ``k / d`` of the open standard simplex: integer
-    ``k >= 1`` summing to ``d``, one composition per choice of ``dim - 1``
-    cuts of ``1..d-1``, in lexicographic order."""
-    for bars in itertools.combinations(range(1, d), dim - 1):
-        cuts = (0, *bars, d)
-        yield np.array([b - a for a, b in zip(cuts, cuts[1:])], dtype=float) / d
+def _interior_lattice(dim: int, d: int, size: int) -> Iterator[np.ndarray]:
+    """Lattice points ``k / d`` of the open standard simplex, as blocks of
+    at most ``size`` rows: integer ``k >= 1`` summing to ``d``, one
+    composition per choice of ``dim - 1`` cuts of ``1..d-1``, in
+    lexicographic order.  Each block's cuts are differenced in numpy."""
+    cuts = itertools.combinations(range(1, d), dim - 1)
+    while block := list(itertools.islice(cuts, size)):
+        bars = np.zeros((len(block), dim + 1), dtype=np.intp)
+        bars[:, 1:-1], bars[:, -1] = block, d
+        yield (bars[:, 1:] - bars[:, :-1]) / d
 
 
 def _checked(tau: float, grid_depth=1) -> int:
     """Check ``tau``, then return ``grid_depth`` as a positive ``int``."""
-    if not (math.isfinite(tau) and tau >= 0):
+    if not (math.isfinite(real(tau, "tau")) and tau >= 0):
         raise ValueError(f"tau must be finite and nonnegative, got {tau}")
     grid_depth = integer(grid_depth, "grid_depth")
     if grid_depth < 1:
@@ -106,9 +109,8 @@ def _sample_faces(A: SymmetricTensor, faces: tuple, grid_depth: int, tau: float)
     s = len(faces[0])
     (columns, multiplicities), _ = _key_plan(A.order, s, tuple(canonical_keys(A.order, s)))
     weights = multiplicities * A.coefficient_vector()[_face_ranks(A.order, A.dim, faces)]
-    found, lattice = None, _interior_lattice(s, grid_depth + s - 1)
-    step = max(1, _BLOCK_TERMS // weights.size)
-    while faces and len(points := np.fromiter(itertools.islice(lattice, step), (float, s))):
+    found = None
+    for points in _interior_lattice(s, grid_depth + s - 1, max(1, _BLOCK_TERMS // weights.size)):
         products = functools.reduce(np.multiply, (points[:, c] for c in columns))  # as ``form``
         terms = (weights[:, None, :] * products).reshape(-1, products.shape[1])
         hits = np.flatnonzero(np.fromiter(map(math.fsum, terms.tolist()), float, len(terms)) < -tau)
@@ -118,6 +120,8 @@ def _sample_faces(A: SymmetricTensor, faces: tuple, grid_depth: int, tau: float)
             witness[np.array(faces[face]) - 1] = points[point]
             found = PrescreenReport(False, SUBTENSOR_SAMPLE, witness, faces[face])
             faces, weights = faces[:face], weights[:face]
+            if not faces:
+                break
     return found
 
 

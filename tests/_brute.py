@@ -7,11 +7,22 @@ summation paths used by the library.
 
 import itertools
 import math
+import time
 
 import numpy as np
 
-from coposim import SymmetricTensor, canonical_keys, diagonal_check, multiplicity
-from coposim.prescreen import DIAGONAL, SUBTENSOR_SAMPLE, PrescreenReport, _interior_lattice
+from coposim import (
+    DetectorConfig,
+    SymmetricTensor,
+    Verdict,
+    VerdictKind,
+    canonical_keys,
+    diagonal_check,
+    multiplicity,
+)
+from coposim import detector
+from coposim.prescreen import DIAGONAL, SUBTENSOR_SAMPLE, PrescreenReport
+from coposim.tensor import corner_indices, split_coefficients
 
 
 def dense_of(A: SymmetricTensor) -> np.ndarray:
@@ -171,6 +182,14 @@ def interior_lattice(dim: int, d: int):
     return (x for x in barycentric_lattice(dim, d) if x.min() > 0)
 
 
+def cut_lattice(dim: int, d: int):
+    """The points of :func:`interior_lattice`, one array each, from one
+    composition per choice of ``dim - 1`` cuts of ``1..d-1``."""
+    for bars in itertools.combinations(range(1, d), dim - 1):
+        cuts = (0, *bars, d)
+        yield np.array([b - a for a, b in zip(cuts, cuts[1:])], dtype=float) / d
+
+
 def subtensor_prescreen(A: SymmetricTensor, grid_depth: int = 2,
                         tau: float = 1e-12) -> PrescreenReport:
     """The prescreen battery as it was first written: diagonal entries, then
@@ -205,7 +224,7 @@ def pointwise_sample_refute(A: SymmetricTensor, J, grid_depth: int = 2,
     off ``J``; the first sample below ``-tau`` refutes."""
     J = tuple(sorted(J))
     support = np.array(J) - 1
-    for x in _interior_lattice(len(J), grid_depth + len(J) - 1):
+    for x in cut_lattice(len(J), grid_depth + len(J) - 1):
         point = np.zeros(A.dim)
         point[support] = x
         if A.form(point) < -tau:
@@ -248,6 +267,72 @@ def corner_indices_loop(order: int, dim: int) -> tuple[int, ...]:
     keys, found by a scan over tuple keys."""
     keys = list(canonical_keys(order, dim))
     return tuple(keys.index((i,) * order) for i in range(1, dim + 1))
+
+
+def eager_detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdict:
+    """The search loop as it was before its frontier entries held
+    references: every child's cell and ``(n, n)`` squared edge lengths are
+    built when it is pushed, and the edge bisected is the ``argmax`` of the
+    upper triangle of those lengths.  ``detect`` must match it run for
+    run, witness bits and certified cells included."""
+    cfg = DetectorConfig() if cfg is None else cfg
+    start = time.perf_counter()
+    m, n = A.order, A.dim
+    tau = cfg.tolerance
+    floor = -cfg.sigma - tau
+    root = np.eye(n)
+    root.setflags(write=False)
+    rows, cols = np.triu_indices(n, 1)
+    upper, pairs = rows * n + cols, list(zip(rows.tolist(), cols.tolist()))
+    coefficients = A.coefficient_vector()
+    corner = corner_indices(m, n)
+    values = coefficients.take(corner).tolist()
+    unit = detector._SAFETY * (m + 2) * 2.0**-53 * float(np.abs(coefficients).max())
+    first = next((i for i, value in enumerate(values) if value < -tau), 0)
+    frontier = [(root, 2.0 - 2.0 * root, coefficients, coefficients.min(), first, min(values), 0)]
+    iterations = max_depth = 0
+    min_vertex = math.inf
+    certified = [] if cfg.keep_certificates else None
+
+    def verdict(kind, **kw):
+        return Verdict(kind, iterations=iterations, max_depth=max_depth, sigma=cfg.sigma,
+                       tolerance=cfg.tolerance, min_vertex_value=min_vertex,
+                       elapsed=time.perf_counter() - start, **kw)
+
+    while frontier:
+        if iterations >= cfg.max_iterations:
+            return verdict(VerdictKind.UNDECIDED)
+        cell, lengths, coefficients, low, vertex, value, depth = frontier.pop()
+        iterations += 1
+        if cfg.min_diameter > 0.0 and math.sqrt(lengths.max()) < cfg.min_diameter:
+            return verdict(VerdictKind.UNDECIDED)
+        min_vertex = min(min_vertex, value)
+        if value < -tau:
+            return verdict(VerdictKind.NOT_COPOSITIVE, witness=np.array(cell[vertex]))
+        if low >= floor:
+            if certified is not None:
+                certified.append(cell)
+            continue
+        p, q = pairs[int(lengths.take(upper).argmax())]
+        midpoint = 0.5 * (cell[p] + cell[q])
+        row = detector._row_dots(cell - midpoint)
+        children = split_coefficients(coefficients, m, n, p, q)
+        mid = children.item(corner[p])
+        if depth >= 50 or mid - (depth + 3) * unit <= min_vertex:
+            mid = A.form(midpoint)
+        lows = np.minimum.reduce(children, axis=1).tolist()
+        for child_coefficients, low, moved in zip(children, lows, (p, q)):
+            child = cell.copy()
+            child[moved] = midpoint
+            child.setflags(write=False)
+            child_lengths = lengths.copy()
+            child_lengths[moved] = row
+            child_lengths[:, moved] = row
+            child_lengths[moved, moved] = 0.0
+            frontier.append((child, child_lengths, child_coefficients, low, moved, mid, depth + 1))
+        max_depth = max(max_depth, depth + 1)
+    return verdict(VerdictKind.COPOSITIVE,
+                   certified_cells=None if certified is None else tuple(certified))
 
 
 def brute_mixed(dense: np.ndarray, x, k: int, y) -> float:

@@ -15,6 +15,7 @@ from coposim import (
     motzkin_tensor,
     ones_tensor,
     random_tensor,
+    random_tensor_negative_diagonal,
     robinson_tensor,
     spectral_radius,
     verify_witness,
@@ -24,7 +25,14 @@ from coposim.cli import TABLE1_ROWS, main
 from coposim.detector import _row_dots
 from coposim.tensor import corner_indices
 
-from _brute import congruence, contains, dense_of, random_simplex_point, random_symmetric
+from _brute import (
+    congruence,
+    contains,
+    dense_of,
+    eager_detect,
+    random_simplex_point,
+    random_symmetric,
+)
 
 
 def test_config_validation():
@@ -33,10 +41,15 @@ def test_config_validation():
     for bad in (0, 2.5, True, "10"):
         with pytest.raises(ValueError):
             DetectorConfig(max_iterations=bad)
+    # A bool once passed as 1.0, so tolerance=True, sigma=True ran as a
+    # silent sigma = 1, and a string raised TypeError from the comparison.
     for name in ("tolerance", "sigma", "min_diameter"):
-        for bad in (-1e-9, math.nan, math.inf):
+        for bad in (-1e-9, math.nan, math.inf, True, np.True_, "1e-3", None, 1j, 10**400):
             with pytest.raises(ValueError, match=name):
                 DetectorConfig(**{name: bad})
+    with pytest.raises(ValueError, match="tolerance"):
+        DetectorConfig(tolerance=True, sigma=True)
+    DetectorConfig(tolerance=np.float32(1e-9), sigma=np.int64(0), min_diameter=1)
     DetectorConfig(keep_certificates=True)
     for bad in ("no", 0, 1, None):
         with pytest.raises(ValueError, match="keep_certificates"):
@@ -434,3 +447,67 @@ def test_row_dots_match_the_pairwise_dot_bit_for_bit():
             assert np.array_equal(_row_dots(D), expected), (n, bits)
             rounded += sum(math.fsum(d * d) != dot for d, dot in zip(D, expected))
     assert rounded > 0
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def test_detect_matches_the_eager_loop():
+    # Frontier entries hold references and build a cell only when it is
+    # bisected or kept; the eager loop builds every child's cell and
+    # lengths when it is pushed.  Records, witness bits and certified
+    # cells (order, bits, read-only) must agree on every kind of run.
+    def shifted(m, n, seed, delta):
+        B = random_tensor(m, n, seed)
+        return eta_shift(spectral_radius(B).rho + delta, B)
+
+    runs = [(eta_shift(eta, ones_tensor(m, n)), {}) for m, n, _, eta, _, _ in TABLE1_ROWS]
+    for seed in range(3):
+        runs += [
+            (shifted(4, 4, seed, 1.0), {"max_iterations": 5000}),
+            (shifted(3, 5, seed, 1.0), {"max_iterations": 5000}),
+            (shifted(3, 3, seed, -1.0), {"max_iterations": 2000}),
+            (shifted(6, 3, seed, -1.0), {"max_iterations": 2000}),
+            (shifted(4, 8, seed, -1.0), {"max_iterations": 300}),
+            (shifted(3, 12, seed, 1.0), {"max_iterations": 300}),
+            (random_tensor_negative_diagonal(4, 3 + seed, seed), {}),
+            (shifted(4, 5, seed, 1.0), {"max_iterations": 5000, "min_diameter": 0.2}),
+        ]
+    # Ends at depth 33, past the depth where squared lengths round.
+    runs.append((shifted(6, 5, 0, 1.0), {"max_iterations": 5000}))
+    runs += [(sextic(), {"max_iterations": 2000, "sigma": 1e-3})
+             for sextic in (motzkin_tensor, robinson_tensor, choi_lam_tensor)]
+    runs += [
+        (eta_shift(9.0, ones_tensor(3, 3)), {"min_diameter": 0.05}),
+        (eta_shift(1.0, ones_tensor(3, 3)), {"min_diameter": 1.0}),
+        (-1.0 * ones_tensor(3, 3), {"sigma": 0.5}),
+    ]
+    seen = set()
+    for A, options in runs:
+        cfg = DetectorConfig(keep_certificates=True, **options)
+        ours, eager = detect(A, cfg), eager_detect(A, cfg)
+        assert ours.to_json_dict() == eager.to_json_dict(), (A, options)
+        assert (ours.witness is None) == (eager.witness is None)
+        if ours.witness is not None:
+            assert _bits(ours.witness) == _bits(eager.witness)
+        cells, expected = ours.certified_cells, eager.certified_cells
+        assert (cells is None) == (expected is None)
+        assert [_bits(c) for c in cells or ()] == [_bits(c) for c in expected or ()]
+        assert not any(cell.flags.writeable for cell in cells or ())
+        record = ours.to_json_dict()
+        if record["verdict"] == "not_copositive":
+            seen.add("refuted at the root" if ours.iterations == 1 else "refuted deep")
+        elif record["verdict"] == "undecided":
+            at_budget = ours.iterations == cfg.max_iterations
+            seen.add("undecided at the budget" if at_budget else "undecided by min_diameter")
+        else:
+            seen.add(record["verdict"])
+    assert seen == {
+        "copositive",
+        "sigma_certified",
+        "refuted at the root",
+        "refuted deep",
+        "undecided at the budget",
+        "undecided by min_diameter",
+    }

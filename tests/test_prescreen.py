@@ -31,6 +31,7 @@ from coposim.prescreen import DIAGONAL, SUBTENSOR_SAMPLE, ZERO_POINT_GRADIENT, _
 
 from _brute import (
     barycentric_lattice,
+    cut_lattice,
     interior_lattice,
     pointwise_prescreen,
     pointwise_sample_refute,
@@ -46,15 +47,32 @@ SLOPED = SymmetricTensor(3, 2, {(1, 1, 2): -0.1, (1, 2, 2): 1.0, (2, 2, 2): 1.0}
 def test_barycentric_lattice():
     closed = list(barycentric_lattice(2, 2))
     assert sorted(tuple(p) for p in closed) == [(0.0, 1.0), (0.5, 0.5), (1.0, 0.0)]
-    assert [tuple(p) for p in _interior_lattice(2, 2)] == [(0.5, 0.5)]
-    assert list(_interior_lattice(3, 2)) == []
+    assert [block.tolist() for block in _interior_lattice(2, 2, 4)] == [[[0.5, 0.5]]]
+    assert list(_interior_lattice(3, 2, 4)) == []
     assert len(list(barycentric_lattice(3, 20))) == 231
-    # The library's cut generator yields the oracle's interior points, in
-    # the same (lexicographic) order and bit for bit.
+    # The cut generator yields the oracle's interior points, in the same
+    # (lexicographic) order and bit for bit.
     for dim in range(1, 5):
         for d in range(1, 9):
-            ours = [tuple(x) for x in _interior_lattice(dim, d)]
-            assert ours == [tuple(x) for x in interior_lattice(dim, d)], (dim, d)
+            cuts = [tuple(x) for x in cut_lattice(dim, d)]
+            assert cuts == [tuple(x) for x in interior_lattice(dim, d)], (dim, d)
+
+
+def test_lattice_blocks_match_the_cut_generator():
+    # The library cuts each block of compositions in numpy; in blocks of
+    # any size the points are the cut generator's, in its order, bit for
+    # bit, and every block but the last is full.
+    for dim in range(1, 6):
+        for d in (1, 2, 3, 5, 9, 14):
+            expected = np.array(list(cut_lattice(dim, d))).reshape(-1, dim)
+            for size in (1, 2, 3, 7, 64, 10**6):
+                blocks = list(_interior_lattice(dim, d, size))
+                assert all(len(block) == size for block in blocks[:-1]), (dim, d, size)
+                points = np.concatenate(blocks) if blocks else np.empty((0, dim))
+                assert points.shape == expected.shape, (dim, d, size)
+                assert np.array_equal(points.view(np.int64), expected.view(np.int64))
+    deep = np.concatenate(list(_interior_lattice(2, 20001, 1092)))
+    assert np.array_equal(deep.view(np.int64), np.array(list(cut_lattice(2, 20001))).view(np.int64))
 
 
 def test_diagonal_check():
@@ -70,10 +88,11 @@ def test_diagonal_check():
 
 def test_prescreens_reject_a_nonfinite_or_negative_tau():
     # With tau = nan every comparison is false, so the -1 diagonal entry
-    # would pass unseen.
+    # would pass unseen; a bool once passed as 1.0, and a string raised
+    # TypeError.
     A = random_tensor_negative_diagonal(4, 3, 0)
     zero = np.full(3, 1 / 3)
-    for tau in (np.nan, np.inf, -1.0):
+    for tau in (np.nan, np.inf, -1.0, True, "1e-3", None, 1j, 10**400):
         checks = (
             lambda: diagonal_check(A, tau=tau),
             lambda: subtensor_sample_refute(A, (1, 2), tau=tau),
@@ -84,6 +103,7 @@ def test_prescreens_reject_a_nonfinite_or_negative_tau():
             with pytest.raises(ValueError, match="tau"):
                 check()
     assert diagonal_check(A, tau=0.0).violated_condition == DIAGONAL
+    assert run_prescreen(A, tau=np.float32(0.0)).violated_condition == DIAGONAL
 
 
 def test_zero_point_gradient_check_passes():
@@ -328,7 +348,7 @@ def test_samples_at_the_tolerance_match_form_to_the_last_bit():
         entries = {key: rng.uniform(0.0, 1.0) for key in canonical_keys(m, n)
                    if not set(key) <= {i, j} and rng.random() < 0.7}
         point = np.zeros(n)
-        point[[i - 1, j - 1]] = next(_interior_lattice(2, depth + 1))
+        point[[i - 1, j - 1]] = next(cut_lattice(2, depth + 1))
 
         def term(key):
             return multiplicity(key) * math.prod(point[t - 1] for t in key)
