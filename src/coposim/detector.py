@@ -9,11 +9,12 @@ which is then dropped.  Any other cell is bisected at its longest edge,
 depth first.  An empty frontier certifies copositivity on the whole
 simplex; running out of budget returns an explicit undecided verdict.
 
-A cell is a read-only ``(n, n)`` array with one vertex per row; the root
-is the identity.  Bisecting edge ``(p, q)`` makes two children, each the
-parent with one endpoint's row replaced by the edge midpoint.  Both
-children's coefficients come from their parent's by midpoint subdivision
-in one gather, with no dense contraction.
+A cell is a tuple of ``n`` vertex tuples of Python floats; the root is
+the identity's rows.  Bisecting edge ``(p, q)`` makes two children, each
+the parent with one endpoint replaced by the edge midpoint, whose
+coefficients come from the parent's by midpoint subdivision in one
+gather.  Only a witness, an exact form evaluation and a certificate (a
+read-only ``(n, n)`` array, one vertex per row) are arrays.
 
 The midpoint's value is read off that split, as a filtered predicate in
 the sense of Shewchuk (Discrete Comput. Geom., 1997).  In exact
@@ -52,24 +53,26 @@ values, and the first vertex in list order below ``-tau`` if there is
 one.  Every entry also carries its smallest coefficient.
 
 A child's frontier entry holds references, not copies: its parent's
-read-only cell, the index of the vertex it replaced, the midpoint, the
-parent's squared edge lengths (the upper triangle as a list, pairs in
-lexicographic order) and the midpoint's row of squared distances to the
-parent's vertices.  About half of the cells a search pops are leaves,
-certified or refuted on the values they carry; a refuted child's witness
-is the midpoint, the same bits as its row in the child's cell.  So the
-child's cell, its parent's copied with one row replaced and made
-read-only, is built only when it is bisected or kept as a certificate,
-and its lengths, its parent's copied with the ``n - 1`` slots of the
-replaced vertex taken from the row, only when it is bisected or
-``min_diameter`` is set.  Siblings share the parent's cell, the midpoint,
-the lengths and the row, and nothing writes into them.  The root enters
-as the identity with its vertex ``first`` replaced by itself.
+cell, the index of the vertex it replaced, the midpoint, the parent's
+squared edge lengths (the upper triangle as a list, pairs in
+lexicographic order, then a sentinel 0.0) and the midpoint's row of
+squared distances to the parent's vertices.  About half of the cells a
+search pops are leaves, certified or refuted on the values they carry; a
+refuted child's witness is the midpoint.  So the child's cell, its
+parent's with one vertex replaced, is built only when it is bisected or
+kept as a certificate, and its lengths, its parent's copied with the
+``n - 1`` slots of the replaced vertex taken from the row, only when it
+is bisected or ``min_diameter`` is set.  Siblings share the parent's
+cell, the midpoint, the lengths and the row, and nothing writes into
+them.  The root enters as the identity with its vertex ``first``
+replaced by itself.
 
-Every squared length is the ``diff @ diff`` of its two vertex rows, bit
-for bit, and the edge bisected is the first maximum of the list.  Past
-depth 26 squared lengths round, so these exact bits and this tie-break
-are what keep the search the same cell for cell.
+No length is computed from coordinates: the midpoint's row follows from
+the parent's lengths by the median formula ``|mid - v|^2 = (|p - v|^2 +
+|q - v|^2) / 2 - |p - q|^2 / 4`` in Python floats, correctly rounded on
+every platform.  Through depth 26 the lengths are exact; past it they
+may round, and these bits and the tie-break, the first maximum of the
+list, keep the search the same cell for cell everywhere.
 
 All sign decisions go through a single tolerance ``tau``: "negative" means
 below ``-tau``, "nonnegative" means at least ``-tau``.  With the cellwise
@@ -97,7 +100,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import SymmetricTensor, corner_indices, integer, real, split_coefficients
+from .tensor import SymmetricTensor, corner_indices, integer, nonnegative, split_coefficients
 
 __all__ = [
     "DetectorConfig",
@@ -129,9 +132,7 @@ class DetectorConfig:
         if integer(self.max_iterations, "max_iterations") < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         for name in ("tolerance", "sigma", "min_diameter"):
-            value = real(getattr(self, name), name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+            nonnegative(getattr(self, name), name)
         if not isinstance(self.keep_certificates, bool):
             raise ValueError(f"keep_certificates must be a bool, got {self.keep_certificates!r}")
 
@@ -187,22 +188,16 @@ class Verdict:
 
 
 @functools.lru_cache(maxsize=64)
-def _edges(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[tuple[int, int], ...], ...]]:
-    """The pairs ``p < q`` of ``n`` vertices in lexicographic order, and per
-    vertex ``v`` its slots: ``(k, j)`` for every other vertex ``j``, where
-    ``k`` is the position of the pair of ``v`` and ``j``."""
+def _edges(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...], tuple]:
+    """The pairs ``p < q`` of ``n`` vertices in lexicographic order; per
+    vertex ``v`` the slot ``at[v][j]`` of the pair of ``v`` and ``j`` in a
+    list of squared lengths, where ``at[v][v]`` is the sentinel slot at the
+    end, which holds 0.0; and the root cell, the identity's rows."""
     pairs = tuple(itertools.combinations(range(n), 2))
-    slots = tuple(
-        tuple((k, p + q - v) for k, (p, q) in enumerate(pairs) if v in (p, q)) for v in range(n)
-    )
-    return pairs, slots
-
-
-def _row_dots(D: np.ndarray) -> np.ndarray:
-    """``D[i] @ D[i]`` for every row, bit for bit: a stack of 1-by-1
-    matmuls sums each row in the order ``diff @ diff`` does, where
-    ``einsum`` may not."""
-    return (D[:, None, :] @ D[:, :, None]).ravel()
+    slot = {pair: k for k, (p, q) in enumerate(pairs) for pair in ((p, q), (q, p))}
+    at = tuple(tuple(slot.get((v, j), len(pairs)) for j in range(n)) for v in range(n))
+    root = tuple(tuple(float(i == j) for j in range(n)) for i in range(n))
+    return pairs, at, root
 
 
 # Slack of the midpoint filter, in units of (m + 2) u M per split level;
@@ -227,7 +222,7 @@ def detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdict:
     m, n = A.order, A.dim
     tau = cfg.tolerance
     floor = -cfg.sigma - tau
-    pairs, slots = _edges(n)
+    pairs, at, root = _edges(n)
     # Frontier entries are (parent cell, replaced vertex, new vertex,
     # parent's squared edge lengths, squared distances to the new vertex,
     # Bernstein coefficients, their smallest, the new vertex's value,
@@ -236,10 +231,7 @@ def detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdict:
     # entries: its barycentric coordinates are the coordinates themselves,
     # and its vertex values are its corner coefficients, the diagonal
     # entries, bit for bit what ``A.form`` gives there.  Its squared edge
-    # lengths, and its distances to any other vertex, are all 2.0, exactly
-    # what ``diff @ diff`` gives on the identity's rows.
-    root = np.eye(n)
-    root.setflags(write=False)
+    # lengths, and its distances to any other vertex, are all exactly 2.0.
     coefficients = A.coefficient_vector()
     corner = corner_indices(m, n)
     values = coefficients.take(corner).tolist()
@@ -248,12 +240,12 @@ def detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdict:
     first = next((i for i, value in enumerate(values) if value < -tau), 0)
     row = [2.0] * n
     row[first] = 0.0
-    frontier = [(root, first, root[first], [2.0] * len(pairs), row, coefficients,
+    frontier = [(root, first, root[first], [2.0] * len(pairs) + [0.0], row, coefficients,
                  coefficients.min(), min(values), 0)]
     iterations = 0
     max_depth = 0
     min_vertex = math.inf
-    certified: list[np.ndarray] | None = [] if cfg.keep_certificates else None
+    certified: list | None = [] if cfg.keep_certificates else None
 
     def verdict(kind: VerdictKind, **kw) -> Verdict:
         return Verdict(
@@ -267,16 +259,11 @@ def detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdict:
             **kw,
         )
 
-    def built(parent: np.ndarray, moved: int, vertex: np.ndarray) -> np.ndarray:
-        cell = parent.copy()
-        cell[moved] = vertex
-        cell.setflags(write=False)
-        return cell
-
     def measured(lengths: list[float], row: list[float], moved: int) -> list[float]:
         lengths = lengths.copy()
-        for k, j in slots[moved]:
-            lengths[k] = row[j]
+        for k, length in zip(at[moved], row):
+            lengths[k] = length
+        lengths[-1] = 0.0  # row[moved] landed in the sentinel
         return lengths
 
     while frontier:
@@ -294,16 +281,18 @@ def detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdict:
             return verdict(VerdictKind.NOT_COPOSITIVE, witness=np.array(vertex))
         if low >= floor:
             if certified is not None:
-                certified.append(built(parent, moved, vertex))
+                certified.append(parent[:moved] + (vertex,) + parent[moved + 1:])
             continue
-        cell = built(parent, moved, vertex)
+        cell = parent[:moved] + (vertex,) + parent[moved + 1:]
         edges = edges or measured(lengths, row, moved)
-        # The first maximum in lexicographic order, as a strict scan finds it.
-        p, q = pairs[edges.index(max(edges))]
-        midpoint = 0.5 * (cell[p] + cell[q])
-        # Squared distances from every vertex to the midpoint: the lengths
-        # of the edges at the vertex the midpoint replaces.
-        row = _row_dots(cell - midpoint).tolist()
+        # The first maximum, as a strict scan finds it; the sentinel is 0.0.
+        k = edges.index(max(edges))
+        p, q = pairs[k]
+        midpoint = tuple([0.5 * (a + b) for a, b in zip(cell[p], cell[q])])
+        # Squared distances from every vertex to the midpoint by the median
+        # formula: the lengths of the edges at the vertex it replaces.
+        quarter = 0.25 * edges[k]
+        row = [0.5 * (edges[a] + edges[b]) - quarter for a, b in zip(at[p], at[q])]
         children = split_coefficients(coefficients, m, n, p, q)
         # The first child's corner at p is the midpoint's value up to
         # rounding.  Within the bound of min_vertex, or once the midpoint
@@ -318,16 +307,18 @@ def detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdict:
         frontier.append((cell, p, midpoint, edges, row, children[0], lows[0], mid, depth + 1))
         frontier.append((cell, q, midpoint, edges, row, children[1], lows[1], mid, depth + 1))
         max_depth = max(max_depth, depth + 1)
-    return verdict(
-        VerdictKind.COPOSITIVE,
-        certified_cells=None if certified is None else tuple(certified),
-    )
+    if certified is not None:  # certificates as read-only (n, n) arrays
+        certified = np.array(certified)
+        certified.setflags(write=False)
+        certified = tuple(certified)
+    return verdict(VerdictKind.COPOSITIVE, certified_cells=certified)
 
 
 def verify_witness(A: SymmetricTensor, x, tau: float = 1e-12) -> bool:
     """Independent check of a non-copositivity witness: ``x`` nonnegative
     with unit coordinate sum (within ``tau``) and form value below
-    ``-tau``."""
+    ``-tau``.  ``tau`` must be a finite nonnegative real number."""
+    tau = nonnegative(tau, "tau")
     x = np.asarray(x, dtype=float)
     if x.shape != (A.dim,):
         raise ValueError(f"witness shape {x.shape} does not match dim {A.dim}")

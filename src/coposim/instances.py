@@ -11,7 +11,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .tensor import SymmetricTensor, _Canonical, canonical_keys, integer, multiplicity, real
+from .tensor import SymmetricTensor, _Canonical, _key_index, integer, multiplicity, real
 
 __all__ = [
     "choi_lam_tensor",
@@ -33,8 +33,9 @@ def identity_tensor(order: int, dim: int) -> SymmetricTensor:
 
 
 def ones_tensor(order: int, dim: int) -> SymmetricTensor:
-    """Every entry equal to one."""
-    return SymmetricTensor(order, dim, _Canonical.fromkeys(canonical_keys(order, dim), 1.0))
+    """Every entry equal to one; ``order`` and ``dim`` must pass :func:`~coposim.tensor.integer`."""
+    order, dim = integer(order, "order"), integer(dim, "dim")  # before the cached key lookup
+    return SymmetricTensor(order, dim, _Canonical.fromkeys(_key_index(order, dim), 1.0))
 
 
 def eta_shift(eta: float, B: SymmetricTensor) -> SymmetricTensor:
@@ -61,7 +62,7 @@ def random_tensor(order: int, dim: int, seed: int) -> SymmetricTensor:
     order = integer(order, "order")
     dim = integer(dim, "dim")
     rng = np.random.Generator(np.random.Philox(key=integer(seed, "seed")))
-    keys = list(canonical_keys(order, dim))
+    keys = _key_index(order, dim)  # shared key objects, compared by identity in _key_plan
     values = rng.random(len(keys))
     while not values.all():
         values = values[values != 0.0]

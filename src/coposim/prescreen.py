@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .tensor import SymmetricTensor, _key_index, _key_plan, canonical_keys, integer, real
+from .tensor import SymmetricTensor, _key_index, _key_plan, canonical_keys, integer, nonnegative
 
 __all__ = [
     "DIAGONAL",
@@ -84,8 +84,7 @@ def _interior_lattice(dim: int, d: int, size: int) -> Iterator[np.ndarray]:
 
 def _checked(tau: float, grid_depth=1) -> int:
     """Check ``tau``, then return ``grid_depth`` as a positive ``int``."""
-    if not (math.isfinite(real(tau, "tau")) and tau >= 0):
-        raise ValueError(f"tau must be finite and nonnegative, got {tau}")
+    nonnegative(tau, "tau")
     grid_depth = integer(grid_depth, "grid_depth")
     if grid_depth < 1:
         raise ValueError(f"grid_depth must be >= 1, got {grid_depth}")

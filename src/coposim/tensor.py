@@ -112,6 +112,14 @@ def real(value, what: str = "value") -> float:
     raise ValueError(f"{what} must be a real number in the float range, got {value!r}")
 
 
+def nonnegative(value, what: str = "value") -> float:
+    """``value`` through :func:`real`, finite and at least zero; else ``ValueError``."""
+    value = real(value, what)
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{what} must be finite and nonnegative, got {value}")
+    return value
+
+
 class _Canonical(dict):
     """Entries with canonical in-range keys, sorted: only values get checked."""
 

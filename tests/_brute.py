@@ -272,9 +272,11 @@ def corner_indices_loop(order: int, dim: int) -> tuple[int, ...]:
 def eager_detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdict:
     """The search loop as it was before its frontier entries held
     references: every child's cell and ``(n, n)`` squared edge lengths are
-    built when it is pushed, and the edge bisected is the ``argmax`` of the
+    built as arrays when it is pushed, each new length the ``diff @ diff``
+    of two vertex rows, and the edge bisected is the ``argmax`` of the
     upper triangle of those lengths.  ``detect`` must match it run for
-    run, witness bits and certified cells included."""
+    run, witness bits and certified cells included, although it derives
+    its lengths by the median formula and shares no length code."""
     cfg = DetectorConfig() if cfg is None else cfg
     start = time.perf_counter()
     m, n = A.order, A.dim
@@ -315,7 +317,7 @@ def eager_detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdi
             continue
         p, q = pairs[int(lengths.take(upper).argmax())]
         midpoint = 0.5 * (cell[p] + cell[q])
-        row = detector._row_dots(cell - midpoint)
+        row = np.array([diff @ diff for diff in cell - midpoint])
         children = split_coefficients(coefficients, m, n, p, q)
         mid = children.item(corner[p])
         if depth >= 50 or mid - (depth + 3) * unit <= min_vertex:

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from coposim import (
 )
 from coposim import detector
 from coposim.cli import TABLE1_ROWS, main
-from coposim.detector import _row_dots
 from coposim.tensor import corner_indices
 
 from _brute import (
@@ -285,6 +285,11 @@ def test_verify_witness_examples():
     assert not verify_witness(-1.0 * E, [1.5, -0.5, 0.0])
     with pytest.raises(ValueError):
         verify_witness(E, [1.0, 0.0])
+    # tau must be a finite nonnegative real: tau=True used to accept this
+    # point, whose coordinates sum to 1.9.
+    for tau in (True, math.nan, -1.0, "0.1"):
+        with pytest.raises(ValueError, match="tau"):
+            verify_witness(-2.0 * ones_tensor(2, 2), [0.95, 0.95], tau=tau)
 
 
 def test_verdict_json_schema():
@@ -433,20 +438,58 @@ def test_deep_random_search_runs_to_completion():
     assert verdict.max_depth == 33
 
 
-def test_row_dots_match_the_pairwise_dot_bit_for_bit():
-    # The carried squared edge lengths are only the search's edge lengths
-    # if every row dot sums as ``diff @ diff`` does.  Deep dyadic rows
-    # round: a correctly rounded sum differs from the dot on some rows, so
-    # a numpy or BLAS build that changes the summation order fails here.
-    rng = np.random.default_rng(15)
-    rounded = 0
-    for n in range(2, 18):
-        for bits in (20, 30, 40, 50):
-            D = rng.integers(-(2**bits), 2**bits, size=(400, n), endpoint=True) / 2.0**bits
-            expected = np.array([d @ d for d in D])
-            assert np.array_equal(_row_dots(D), expected), (n, bits)
-            rounded += sum(math.fsum(d * d) != dot for d, dot in zip(D, expected))
-    assert rounded > 0
+def test_carried_lengths_match_exact_squared_distances():
+    # ``detect`` carries squared edge lengths in Python floats: a child's
+    # new lengths come from its parent's by the median formula, each
+    # operation correctly rounded on every platform.  Follow seeded random
+    # paths of that arithmetic from the standard simplex and hold the
+    # lengths to the exact squared distances of the exact dyadic vertices
+    # (integers scaled by 2**60).  At depth d the vertices are multiples
+    # of 2**-d and the squared lengths multiples of 2**-2d below 2, so
+    # through depth 26 every operation is exact.  Past it a level rounds
+    # at most twice (halving and quartering are exact), and the relative
+    # bound at depth d allows 32 roundings per level.
+    def bound(depth):
+        return 32 * depth * 2.0**-53
+
+    scale = 2**60
+    checked = decided = 0
+    for n in range(3, 13):
+        pairs, at, _ = detector._edges(n)
+        for seed in range(6):
+            rng = np.random.default_rng([n, seed])
+            exact = [[scale * (i == j) for j in range(n)] for i in range(n)]
+            exact_lengths = [2 * scale**2] * len(pairs)
+            lengths = [2.0] * len(pairs) + [0.0]
+            for depth in range(60):
+                k = lengths.index(max(lengths))
+                best = max(exact_lengths)
+                first = exact_lengths.index(best)
+                gap = best - max(x for j, x in enumerate(exact_lengths) if j != first)
+                if gap > 2 * bound(depth) * best:
+                    assert k == first, (n, seed, depth)
+                    decided += depth > 26
+                p, q = pairs[k]
+                quarter = 0.25 * lengths[k]
+                row = [0.5 * (lengths[a] + lengths[b]) - quarter for a, b in zip(at[p], at[q])]
+                moved = (p, q)[int(rng.integers(2))]
+                exact[moved] = [(a + b) // 2 for a, b in zip(exact[p], exact[q])]
+                lengths = lengths.copy()
+                for slot, length in zip(at[moved], row):
+                    lengths[slot] = length
+                lengths[-1] = 0.0
+                for j, slot in enumerate(at[moved]):
+                    if j == moved:
+                        continue
+                    exact_lengths[slot] = sum((a - b) ** 2 for a, b in zip(exact[moved], exact[j]))
+                    expected = Fraction(exact_lengths[slot], scale**2)
+                    if depth + 1 <= 26:
+                        assert lengths[slot] == expected, (n, seed, depth)
+                    else:
+                        error = abs(Fraction(lengths[slot]) - expected)
+                        assert error <= bound(depth + 1) * expected, (n, seed, depth)
+                        checked += 1
+    assert checked > 0 and decided > 0
 
 
 def _bits(x) -> bytes:

@@ -100,6 +100,19 @@ def test_random_tensor_matches_the_one_draw_loop(monkeypatch):
     assert fast != random_tensor(3, 3, 5) and 0.0 not in fast.entries.values()
 
 
+def test_random_tensors_of_one_shape_share_their_keys():
+    # The entries are those drawn against a fresh key list, bit for bit,
+    # and every tensor of a shape holds the same key objects.
+    for m, n in ((1, 3), (3, 3), (4, 8), (3, 10)):
+        for seed in (0, 5):
+            A, B = random_tensor(m, n, seed), random_tensor(m, n, seed + 1)
+            keys = list(canonical_keys(m, n))
+            values = np.random.Generator(np.random.Philox(key=seed)).random(len(keys))
+            assert list(A.entries) == keys
+            assert np.array(list(A.entries.values())).tobytes() == values.tobytes()
+            assert all(a is b for a, b in zip(A.entries, B.entries))
+
+
 def test_random_tensor_determinism_and_range():
     A = random_tensor(3, 3, 42)
     B = random_tensor(3, 3, 42)
@@ -131,6 +144,13 @@ def test_random_tensors_take_integer_arguments_only():
     A = random_tensor(3, 3, 2)
     assert random_tensor(3.0, np.int64(3), 2.0) == A
     assert random_tensor_negative_diagonal(3.0, 3, np.uint8(2)) == random_tensor_negative_diagonal(3, 3, 2)
+    # ones_tensor checks before its cached key lookup, where 3.0 == 3 and
+    # True == 1 would find another shape's keys.
+    ones_tensor(3, 3), ones_tensor(1, 3)
+    assert ones_tensor(3.0, np.int64(3)) == ones_tensor(3, 3)
+    for args, name in (((True, 3), "order"), ((3, "3"), "dim"), ((2.5, 3), "order")):
+        with pytest.raises(ValueError, match=name):
+            ones_tensor(*args)
     for make in (random_tensor, random_tensor_negative_diagonal):
         for args, name in (
             ((3, 3, 2.5), "seed"),
