@@ -6,6 +6,8 @@ This walkthrough builds a few small tensors, evaluates their forms, and
 round-trips one through the JSON interchange format.
 """
 
+import json
+
 import numpy as np
 
 from coposim import (
@@ -57,6 +59,6 @@ print("motzkin entry", key, "=", M[key], "x", multiplicity(key), "permutations")
 print("motzkin form at (1,1,1):", M.form([1.0, 1.0, 1.0]))
 
 # JSON round trip: indices are stored sorted and 1-based.
-text = A.to_json()
+text = json.dumps(A.to_json_dict())
 print("serialized bytes:", len(text))
-print("round trip equal:", SymmetricTensor.from_json(text) == A)
+print("round trip equal:", SymmetricTensor.from_json_dict(json.loads(text)) == A)

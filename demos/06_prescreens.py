@@ -17,7 +17,6 @@ from coposim import (
     ones_tensor,
     random_tensor_negative_diagonal,
     run_prescreen,
-    subtensor_sample_refute,
     verify_witness,
     zero_point_gradient_check,
 )
@@ -29,12 +28,13 @@ report = diagonal_check(B)
 print("diagonal check:", "passed" if report.passed else "failed",
       "witness:", report.witness, "verified:", verify_witness(B, report.witness))
 
-# Faces of the simplex are tensors in their own right: sampling the
+# Edges of the simplex are tensors in their own right: sampling the
 # restriction to a pair of coordinates can catch sign dips that no vertex
-# shows.  Here I - E is negative at the midpoint of the (1,2) edge.
+# shows.  Here I - E has a unit diagonal but is negative at the midpoint
+# of the (1,2) edge, the first sample of the battery at depth 1.
 A = eta_shift(1.0, ones_tensor(3, 3))
-report = subtensor_sample_refute(A, J=[1, 2], grid_depth=1)
-print("subtensor sample on {1,2}:", "failed" if not report.passed else "passed",
+report = run_prescreen(A, grid_depth=1)
+print("pair sample:", report.violated_condition, "on", report.J,
       "witness:", report.witness, "form there:", A.form(report.witness))
 
 # At a known zero of the form, the one-slot contraction must be entrywise

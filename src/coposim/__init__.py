@@ -33,7 +33,6 @@ from .prescreen import (
     PrescreenReport,
     diagonal_check,
     run_prescreen,
-    subtensor_sample_refute,
     zero_point_gradient_check,
 )
 from .spectral import (
@@ -70,7 +69,6 @@ __all__ = [
     "robinson_tensor",
     "run_prescreen",
     "spectral_radius",
-    "subtensor_sample_refute",
     "verify_witness",
     "zero_point_gradient_check",
 ]

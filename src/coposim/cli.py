@@ -4,7 +4,9 @@ instance generation, and reproduction of the three benchmark tables.
 Exit codes: 0 copositive (or certified up to sigma), 1 not copositive,
 2 undecided (for ``spectral``: bounds still open when the iteration
 budget ran out), 64 usage error, 65 malformed input, 66 missing or
-unreadable input, 70 internal error.
+unreadable input, 70 internal error, 73 ``--out`` cannot be written
+(``detect``, ``spectral``, ``prescreen`` and ``table`` have printed their
+output by then).
 
 The argument parser is built once per process, on the first call of
 ``main``, and reused by every later call.
@@ -34,6 +36,7 @@ EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_NOINPUT = 66
 EXIT_INTERNAL = 70
+EXIT_CANTCREAT = 73
 
 # Per generator: the flags it reads, in the order they enter the input
 # record, and its builder.  Builders look ``instances.<name>`` up at call
@@ -56,12 +59,12 @@ GENERATORS = {
 }
 
 
-class UsageError(Exception):
-    pass
+class CliError(Exception):
+    """A failure reported as ``coposim: error: <message>``, exiting ``code``."""
 
-
-class NoInputError(Exception):
-    pass
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,7 +112,7 @@ def _make_tensor(args) -> tuple[SymmetricTensor, dict]:
     for flag in flags:
         value = getattr(args, flag, None)
         if value is None:
-            raise UsageError(f"--gen {args.gen} requires --{flag}")
+            raise CliError(EXIT_USAGE, f"--gen {args.gen} requires --{flag}")
         descriptor[flag] = value
     return build(args), descriptor
 
@@ -119,23 +122,32 @@ def _load_tensor(args) -> tuple[SymmetricTensor, dict]:
         return _make_tensor(args)
     source = getattr(args, "source", None)
     if not source:
-        raise UsageError("provide a tensor file or --gen NAME")
+        raise CliError(EXIT_USAGE, "provide a tensor file or --gen NAME")
     try:
         with open(source, "r", encoding="utf-8") as handle:
             obj = json.load(handle)
     except OSError as exc:
-        raise NoInputError(f"cannot read {source}: {exc.strerror or exc}") from exc
+        raise CliError(EXIT_NOINPUT, f"cannot read {source}: {exc.strerror or exc}") from exc
     if isinstance(obj, dict) and "monomials" in obj:
         return instances.polynomial_from_json(obj), {"file": source, "format": "polynomial"}
     return SymmetricTensor.from_json_dict(obj), {"file": source, "format": "tensor"}
+
+
+def _write(text: str, out: str) -> None:
+    """Write ``text`` and a newline to the file ``out``; failing that,
+    exit 73 with a message naming the path."""
+    try:
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
+    except OSError as exc:
+        raise CliError(EXIT_CANTCREAT, f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _emit(record: dict, out: str | None) -> None:
     text = json.dumps(record, indent=2)
     print(text)
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        _write(text, out)
 
 
 def _exit_code(verdict: Verdict) -> int:
@@ -228,12 +240,11 @@ def cmd_prescreen(args) -> int:
 
 def cmd_gen(args) -> int:
     if not args.gen:
-        raise UsageError("gen needs --gen NAME")
+        raise CliError(EXIT_USAGE, "gen needs --gen NAME")
     A, _ = _make_tensor(args)
-    text = A.to_json()
+    text = json.dumps(A.to_json_dict())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        _write(text, args.out)
     else:
         print(text)
     return 0
@@ -361,9 +372,7 @@ def cmd_table(args) -> int:
     rows = builders[args.table](cfg, args.seed)
     _print_rows(rows)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump({"table": args.table, "rows": rows}, handle, indent=2)
-            handle.write("\n")
+        _write(json.dumps({"table": args.table, "rows": rows}, indent=2), args.out)
     return 0
 
 
@@ -427,13 +436,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except CliError as exc:
         print(f"coposim: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (NoInputError, FileNotFoundError) as exc:
-        print(f"coposim: error: {exc}", file=sys.stderr)
-        return EXIT_NOINPUT
-    except (ValueError, json.JSONDecodeError) as exc:
+        return exc.code
+    except ValueError as exc:  # json.JSONDecodeError included
         print(f"coposim: error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # pragma: no cover - last-resort guard

@@ -5,7 +5,6 @@ tensors built from homogeneous polynomials by symmetrization.
 
 from __future__ import annotations
 
-import json
 from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
@@ -28,7 +27,9 @@ __all__ = [
 
 
 def identity_tensor(order: int, dim: int) -> SymmetricTensor:
-    """Ones on the diagonal multi-indices, zero elsewhere."""
+    """Ones on the diagonal multi-indices, zero elsewhere; ``order`` and
+    ``dim`` must pass :func:`~coposim.tensor.integer`."""
+    order, dim = integer(order, "order"), integer(dim, "dim")
     return SymmetricTensor(order, dim, _Canonical(((i,) * order, 1.0) for i in range(1, dim + 1)))
 
 
@@ -40,8 +41,9 @@ def ones_tensor(order: int, dim: int) -> SymmetricTensor:
 
 def eta_shift(eta: float, B: SymmetricTensor) -> SymmetricTensor:
     """The diagonal shift ``eta * identity - B`` matching B's shape, built
-    at once, with the values the tensor arithmetic gives bit for bit."""
-    eta, stored = float(eta), B.entries
+    at once, with the values the tensor arithmetic gives bit for bit;
+    ``eta`` must pass :func:`~coposim.tensor.real`."""
+    eta, stored = real(eta, "eta"), B.entries
     entries = _Canonical(zip(stored, map(float.__neg__, stored.values())))
     for key in ((i,) * B.order for i in range(1, B.dim + 1)):
         entries[key] = eta - stored.get(key, 0.0)
@@ -113,11 +115,10 @@ def from_polynomial(
     return SymmetricTensor(order, dim, entries)
 
 
-def polynomial_from_json(source: str | Mapping) -> SymmetricTensor:
-    """Read the structured polynomial format:
+def polynomial_from_json(obj: Mapping) -> SymmetricTensor:
+    """Read the structured polynomial format, as parsed from JSON:
     ``{"order": m, "dim": n, "monomials": [{"exponents": [...], "coeff": c}]}``.
     """
-    obj = json.loads(source) if isinstance(source, str) else source
     try:
         order = obj["order"]
         dim = obj["dim"]

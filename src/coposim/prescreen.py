@@ -5,11 +5,15 @@ certificate.  Every failure returns a witness that can be re-verified
 independently by the inequality that produced it.  Each check takes a
 sign tolerance ``tau``, which must be finite and nonnegative.
 
-Face samples are computed in blocks of about ``2**16`` terms, so memory
-stays bounded at any depth, and each is bit-identical to ``A.form`` at
-the embedded point: its terms are formed as ``form`` forms them, keys off
-the face add exact zeros there, and ``math.fsum`` is correctly rounded,
-so neither those zeros nor the order of the terms changes a sum.
+The battery, :func:`run_prescreen`, checks the diagonal entries, then
+samples the form on every edge ``(i, j)`` of the simplex, the two-index
+principal subtensors, at the interior points ``(k, d - k) / d``.  All
+pairs are sampled together, in blocks of about ``2**16`` terms, so memory
+stays bounded at any depth, and each sample is bit-identical to
+``A.form`` at the embedded point: its terms are formed as ``form`` forms
+them, keys off the edge add exact zeros there, and ``math.fsum`` is
+correctly rounded, so neither those zeros nor the order of the terms
+changes a sum.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -31,7 +35,6 @@ __all__ = [
     "PrescreenReport",
     "diagonal_check",
     "run_prescreen",
-    "subtensor_sample_refute",
     "zero_point_gradient_check",
 ]
 
@@ -70,16 +73,12 @@ class PrescreenReport:
         }
 
 
-def _interior_lattice(dim: int, d: int, size: int) -> Iterator[np.ndarray]:
-    """Lattice points ``k / d`` of the open standard simplex, as blocks of
-    at most ``size`` rows: integer ``k >= 1`` summing to ``d``, one
-    composition per choice of ``dim - 1`` cuts of ``1..d-1``, in
-    lexicographic order.  Each block's cuts are differenced in numpy."""
-    cuts = itertools.combinations(range(1, d), dim - 1)
-    while block := list(itertools.islice(cuts, size)):
-        bars = np.zeros((len(block), dim + 1), dtype=np.intp)
-        bars[:, 1:-1], bars[:, -1] = block, d
-        yield (bars[:, 1:] - bars[:, :-1]) / d
+def _edge_lattice(d: int, size: int) -> Iterator[np.ndarray]:
+    """Interior lattice points ``(k, d - k) / d`` of an edge, ``k = 1..d-1``
+    in increasing order, as blocks of at most ``size`` rows."""
+    for start in range(1, d, size):
+        k = np.arange(start, min(start + size, d))
+        yield np.column_stack((k, d - k)) / d
 
 
 def _checked(tau: float, grid_depth=1) -> int:
@@ -92,34 +91,36 @@ def _checked(tau: float, grid_depth=1) -> int:
 
 
 @functools.lru_cache(maxsize=64)
-def _face_ranks(order: int, dim: int, faces: tuple[tuple[int, ...], ...]) -> np.ndarray:
+def _face_ranks(order: int, dim: int) -> np.ndarray:
     """Read-only positions among the canonical keys of shape ``(order, dim)``
-    of the keys in each face (a sorted index tuple), one row per face."""
-    index, keys = _key_index(order, dim), _key_index(order, len(faces[0]))
-    ranks = np.array([[index[tuple(face[i - 1] for i in key)] for key in keys] for face in faces])
+    of the keys on each pair face ``(i, j)``, one row per pair, in
+    lexicographic pair order."""
+    index, keys = _key_index(order, dim), _key_index(order, 2)
+    pairs = itertools.combinations(range(1, dim + 1), 2)
+    ranks = np.array([[index[tuple(pair[i - 1] for i in key)] for key in keys] for pair in pairs])
     ranks.setflags(write=False)
     return ranks
 
 
-def _sample_faces(A: SymmetricTensor, faces: tuple, grid_depth: int, tau: float):
-    """The first sample below ``-tau`` on ``faces`` (sorted index tuples of
-    one size), in face and then lattice order, as a failed report, or
-    ``None``.  A face with a negative sample drops the faces after it."""
-    s = len(faces[0])
-    (columns, multiplicities), _ = _key_plan(A.order, s, tuple(canonical_keys(A.order, s)))
-    weights = multiplicities * A.coefficient_vector()[_face_ranks(A.order, A.dim, faces)]
+def _sample_faces(A: SymmetricTensor, grid_depth: int, tau: float):
+    """The first sample below ``-tau`` on the pair faces, in pair and then
+    lattice order, as a failed report, or ``None``.  A pair with a negative
+    sample drops the pairs after it."""
+    (columns, multiplicities), _ = _key_plan(A.order, 2, tuple(canonical_keys(A.order, 2)))
+    weights = multiplicities * A.coefficient_vector()[_face_ranks(A.order, A.dim)]
     found = None
-    for points in _interior_lattice(s, grid_depth + s - 1, max(1, _BLOCK_TERMS // weights.size)):
+    for points in _edge_lattice(grid_depth + 1, max(1, _BLOCK_TERMS // weights.size)):
         products = functools.reduce(np.multiply, (points[:, c] for c in columns))  # as ``form``
         terms = (weights[:, None, :] * products).reshape(-1, products.shape[1])
         hits = np.flatnonzero(np.fromiter(map(math.fsum, terms.tolist()), float, len(terms)) < -tau)
         if hits.size:
             face, point = divmod(int(hits[0]), len(points))
+            i, j = next(itertools.islice(itertools.combinations(range(1, A.dim + 1), 2), face, None))
             witness = np.zeros(A.dim)
-            witness[np.array(faces[face]) - 1] = points[point]
-            found = PrescreenReport(False, SUBTENSOR_SAMPLE, witness, faces[face])
-            faces, weights = faces[:face], weights[:face]
-            if not faces:
+            witness[[i - 1, j - 1]] = points[point]
+            found = PrescreenReport(False, SUBTENSOR_SAMPLE, witness, (i, j))
+            weights = weights[:face]
+            if not face:
                 break
     return found
 
@@ -177,39 +178,16 @@ def zero_point_gradient_check(
     return PrescreenReport(True)
 
 
-def subtensor_sample_refute(
-    A: SymmetricTensor, J: Iterable[int], grid_depth: int = 2, tau: float = 1e-12
-) -> PrescreenReport:
-    """Sample the principal subtensor on index set ``J`` over an interior
-    barycentric lattice of the sub-simplex; a negative sample, embedded
-    back into full space with zeros off ``J``, is a direct witness.
-
-    Depth 1 samples the sub-simplex centroid; depth ``g`` uses the interior
-    lattice of denominator ``g + len(J) - 1``.  Passing certifies nothing
-    (sampling is one-sided).
-
-    Each sample is ``A.form`` at the embedded point, bit for bit, with no
-    subtensor built; the module docstring says why, and bounds the blocks.
-    """
-    grid_depth = _checked(tau, grid_depth)
-    J = tuple(sorted({integer(j) for j in J}))
-    if not J:
-        raise ValueError("index subset must be nonempty")
-    if J[0] < 1 or J[-1] > A.dim:
-        raise ValueError(f"index subset {list(J)} out of range 1..{A.dim}")
-    return _sample_faces(A, (J,), grid_depth, tau) or PrescreenReport(True, J=J)
-
-
 def run_prescreen(A: SymmetricTensor, grid_depth: int = 2, tau: float = 1e-12) -> PrescreenReport:
     """Fixed-order refuter battery, stopping at the first failure:
-    diagonal entries, then subtensor sampling on all pairs of indices.
+    diagonal entries, then subtensor sampling on all pairs ``J`` of indices,
+    depth ``g`` at the ``g`` interior points of denominator ``g + 1``.
 
     Singletons are not sampled: the only sample of a one-index subtensor is
     its diagonal entry, which the diagonal check has already passed.
     """
     grid_depth = _checked(tau, grid_depth)
     report = diagonal_check(A, tau)
-    pairs = tuple(itertools.combinations(range(1, A.dim + 1), 2))
-    if report.passed and pairs:
-        return _sample_faces(A, pairs, grid_depth, tau) or report
+    if report.passed and A.dim > 1:
+        return _sample_faces(A, grid_depth, tau) or report
     return report

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .instances import ones_tensor
-from .tensor import SymmetricTensor, integer
+from .tensor import SymmetricTensor, integer, real
 
 __all__ = [
     "PowerIterationBudgetError",
@@ -62,13 +62,14 @@ def spectral_radius(
     Raises
     ------
     ValueError
-        If ``B`` has a negative entry, ``tol`` is not finite and
-        positive, ``max_iter`` is not an integer of at least 1, or the
+        If ``B`` has a negative entry, ``tol`` is not a finite positive
+        real number, ``max_iter`` is not an integer of at least 1, or the
         order is below 2.
     PowerIterationBudgetError
         If the bracket is still wider than ``tol`` after ``max_iter``
         steps; the error carries the current bounds.
     """
+    tol = real(tol, "tol")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     max_iter = integer(max_iter, "max_iter")

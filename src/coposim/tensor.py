@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import numbers
 from types import MappingProxyType
@@ -355,17 +354,6 @@ class SymmetricTensor:
         terms = self._terms_at(columns, weights, x)
         return np.array([math.fsum(terms[a:b]) for a, b in zip(bounds, bounds[1:])])
 
-    def norm(self) -> float:
-        """Frobenius norm over the dense index space.  Entries are scaled
-        by the largest magnitude before squaring, so the norm of a nonzero
-        tensor neither overflows nor underflows."""
-        if not self._entries:
-            return 0.0
-        scale = max(abs(value) for value in self._entries.values())
-        return scale * math.sqrt(
-            math.fsum(multiplicity(k) * (v / scale) ** 2 for k, v in self._entries.items())
-        )
-
     def coefficient_vector(self) -> np.ndarray:
         """Every canonical coefficient, zeros included, in lexicographic key
         order: the Bernstein coefficients of the standard simplex."""
@@ -387,9 +375,6 @@ class SymmetricTensor:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "SymmetricTensor":
         try:
@@ -407,10 +392,6 @@ class SymmetricTensor:
             except (KeyError, TypeError) as exc:
                 raise ValueError(f"malformed entry {item!r}") from exc
         return cls(order, dim, pairs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SymmetricTensor":
-        return cls.from_json_dict(json.loads(text))
 
 
 @functools.lru_cache(maxsize=64)

@@ -7,6 +7,7 @@ import pytest
 
 import coposim
 from coposim.cli import (
+    EXIT_CANTCREAT,
     EXIT_COPOSITIVE,
     EXIT_DATA,
     EXIT_NOINPUT,
@@ -378,6 +379,23 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     )
     assert code == EXIT_COPOSITIVE
     assert json.loads(text) == json.loads(out.read_text())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["detect", "--gen", "eta-ones", "--m", "3", "--n", "3", "--eta", "19"],
+        ["gen", "--gen", "motzkin"],
+        ["table", "1"],
+    ],
+)
+def test_unwritable_out_file_cannot_be_created(capsys, tmp_path, argv):
+    # A missing directory exited 66 (missing input) and a directory 70
+    # (internal error); both now exit 73, naming the path.
+    for out in (tmp_path / "no-such-dir" / "record.json", tmp_path):
+        code, _, err = run(capsys, *argv, "--out", str(out))
+        assert code == EXIT_CANTCREAT, (argv, out)
+        assert f"cannot write {out}" in err and "internal error" not in err
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,7 @@ from coposim.cli import TABLE1_ROWS, main
 from coposim.tensor import corner_indices
 
 from _brute import (
+    brute_inner,
     congruence,
     contains,
     dense_of,
@@ -183,7 +184,8 @@ def test_positive_soundness_sampling():
     for A in (eta_shift(19.0, ones_tensor(3, 3)), eta_shift(9.01, ones_tensor(3, 3))):
         verdict = detect(A)
         assert verdict.kind is VerdictKind.COPOSITIVE
-        bound = -verdict.tolerance * (1.0 + A.norm())
+        dense = dense_of(A)
+        bound = -verdict.tolerance * (1.0 + math.sqrt(brute_inner(dense, dense)))
         for _ in range(500):
             assert A.form(random_simplex_point(rng, A.dim)) >= bound
 

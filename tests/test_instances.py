@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from coposim import (
     random_tensor,
     random_tensor_negative_diagonal,
     robinson_tensor,
+    spectral_radius,
 )
 
 from _brute import (
@@ -122,6 +124,32 @@ def test_random_tensor_determinism_and_range():
         T = random_tensor(4, 3, seed)
         assert T.nnz == math.comb(3 + 4 - 1, 4)
         assert all(0.0 < value < 1.0 for value in T.entries.values())
+
+
+def test_identity_eta_shift_and_spectral_radius_check_their_arguments():
+    # identity_tensor raised TypeError from tuple repetition, eta_shift
+    # read "9" as 9.0 and True as 1.0, and spectral_radius ran tol=True as
+    # 1.0 and raised TypeError on a string or None.
+    B = ones_tensor(3, 3)
+    cases = (
+        (lambda: identity_tensor("3", 3), "order"),
+        (lambda: identity_tensor(True, 3), "order"),
+        (lambda: identity_tensor(3, 2.5), "dim"),
+        (lambda: eta_shift("9", B), "eta"),
+        (lambda: eta_shift(True, B), "eta"),
+        (lambda: eta_shift(None, B), "eta"),
+        (lambda: spectral_radius(B, tol=True), "tol"),
+        (lambda: spectral_radius(B, tol="1e-8"), "tol"),
+        (lambda: spectral_radius(B, tol=None), "tol"),
+    )
+    for case, name in cases:
+        with pytest.raises(ValueError, match=name):
+            case()
+    # Numpy scalars, and integral floats where an integer is wanted, as
+    # ones_tensor and random_tensor take them.
+    assert identity_tensor(3.0, np.int64(3)) == identity_tensor(np.uint8(3), 3.0) == identity_tensor(3, 3)
+    assert eta_shift(np.float32(9.0), B) == eta_shift(np.int64(9), B) == eta_shift(9.0, B)
+    assert spectral_radius(B, tol=np.float64(1e-8)).rho == spectral_radius(B).rho
 
 
 def test_random_tensor_detects_copositive_in_one_iteration():
@@ -268,17 +296,17 @@ def test_polynomial_json_reader():
                    {"exponents": [0, 0, 6], "coeff": 1.0},
                    {"exponents": [2, 2, 2], "coeff": -3.0}]}
     """
-    assert polynomial_from_json(text) == motzkin_tensor()
+    assert polynomial_from_json(json.loads(text)) == motzkin_tensor()
     with pytest.raises(ValueError):
-        polynomial_from_json('{"order": 6, "dim": 3}')
+        polynomial_from_json(json.loads('{"order": 6, "dim": 3}'))
     with pytest.raises(ValueError):
-        polynomial_from_json('{"order": 6, "dim": 3, "monomials": [{"coeff": 1.0}]}')
+        polynomial_from_json(json.loads('{"order": 6, "dim": 3, "monomials": [{"coeff": 1.0}]}'))
     # Coefficients are Python or numpy ints and floats; not strings or bools.
     for coeff in ('"3"', "true", "null", "[1]"):
         with pytest.raises(ValueError, match="coefficient"):
-            polynomial_from_json(
+            polynomial_from_json(json.loads(
                 '{"order": 2, "dim": 2, "monomials": [{"exponents": [2, 0], "coeff": %s}]}' % coeff
-            )
-    assert polynomial_from_json(
+            ))
+    assert polynomial_from_json(json.loads(
         '{"order": 2, "dim": 2, "monomials": [{"exponents": [1, 1], "coeff": 3}]}'
-    ).entries == {(1, 2): 1.5}
+    )).entries == {(1, 2): 1.5}

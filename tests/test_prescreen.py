@@ -1,4 +1,3 @@
-import itertools
 import math
 import tracemalloc
 from collections import Counter
@@ -22,19 +21,17 @@ from coposim import (
     random_tensor_negative_diagonal,
     run_prescreen,
     spectral_radius,
-    subtensor_sample_refute,
     verify_witness,
     zero_point_gradient_check,
 )
 from coposim import prescreen
-from coposim.prescreen import DIAGONAL, SUBTENSOR_SAMPLE, ZERO_POINT_GRADIENT, _interior_lattice
+from coposim.prescreen import DIAGONAL, SUBTENSOR_SAMPLE, ZERO_POINT_GRADIENT, _edge_lattice
 
 from _brute import (
     barycentric_lattice,
     cut_lattice,
     interior_lattice,
     pointwise_prescreen,
-    pointwise_sample_refute,
     random_symmetric,
     subtensor_prescreen,
 )
@@ -47,8 +44,8 @@ SLOPED = SymmetricTensor(3, 2, {(1, 1, 2): -0.1, (1, 2, 2): 1.0, (2, 2, 2): 1.0}
 def test_barycentric_lattice():
     closed = list(barycentric_lattice(2, 2))
     assert sorted(tuple(p) for p in closed) == [(0.0, 1.0), (0.5, 0.5), (1.0, 0.0)]
-    assert [block.tolist() for block in _interior_lattice(2, 2, 4)] == [[[0.5, 0.5]]]
-    assert list(_interior_lattice(3, 2, 4)) == []
+    assert [block.tolist() for block in _edge_lattice(2, 4)] == [[[0.5, 0.5]]]
+    assert list(_edge_lattice(1, 4)) == []
     assert len(list(barycentric_lattice(3, 20))) == 231
     # The cut generator yields the oracle's interior points, in the same
     # (lexicographic) order and bit for bit.
@@ -59,19 +56,18 @@ def test_barycentric_lattice():
 
 
 def test_lattice_blocks_match_the_cut_generator():
-    # The library cuts each block of compositions in numpy; in blocks of
+    # The library builds each block of edge points in numpy; in blocks of
     # any size the points are the cut generator's, in its order, bit for
     # bit, and every block but the last is full.
-    for dim in range(1, 6):
-        for d in (1, 2, 3, 5, 9, 14):
-            expected = np.array(list(cut_lattice(dim, d))).reshape(-1, dim)
-            for size in (1, 2, 3, 7, 64, 10**6):
-                blocks = list(_interior_lattice(dim, d, size))
-                assert all(len(block) == size for block in blocks[:-1]), (dim, d, size)
-                points = np.concatenate(blocks) if blocks else np.empty((0, dim))
-                assert points.shape == expected.shape, (dim, d, size)
-                assert np.array_equal(points.view(np.int64), expected.view(np.int64))
-    deep = np.concatenate(list(_interior_lattice(2, 20001, 1092)))
+    for d in (1, 2, 3, 5, 9, 14):
+        expected = np.array(list(cut_lattice(2, d))).reshape(-1, 2)
+        for size in (1, 2, 3, 7, 64, 10**6):
+            blocks = list(_edge_lattice(d, size))
+            assert all(len(block) == size for block in blocks[:-1]), (d, size)
+            points = np.concatenate(blocks) if blocks else np.empty((0, 2))
+            assert points.shape == expected.shape, (d, size)
+            assert np.array_equal(points.view(np.int64), expected.view(np.int64))
+    deep = np.concatenate(list(_edge_lattice(20001, 1092)))
     assert np.array_equal(deep.view(np.int64), np.array(list(cut_lattice(2, 20001))).view(np.int64))
 
 
@@ -95,7 +91,6 @@ def test_prescreens_reject_a_nonfinite_or_negative_tau():
     for tau in (np.nan, np.inf, -1.0, True, "1e-3", None, 1j, 10**400):
         checks = (
             lambda: diagonal_check(A, tau=tau),
-            lambda: subtensor_sample_refute(A, (1, 2), tau=tau),
             lambda: zero_point_gradient_check(eta_shift(9.0, ones_tensor(3, 3)), zero, tau=tau),
             lambda: run_prescreen(A, tau=tau),
         )
@@ -143,35 +138,20 @@ def test_zero_point_gradient_check_refutes():
 
 
 def test_subtensor_sample_refute():
-    E = ones_tensor(3, 3)
-    report = subtensor_sample_refute(-1.0 * E, [1, 2], grid_depth=1)
+    # I - E has unit diagonal, and its form is -0.75 at the midpoint of
+    # the (1,2) edge: the battery's first pair sample refutes it there.
+    A = eta_shift(1.0, ones_tensor(3, 3))
+    report = run_prescreen(A, grid_depth=1)
     assert not report.passed
     assert report.violated_condition == SUBTENSOR_SAMPLE
     assert report.J == (1, 2)
-    assert np.allclose(report.witness, [0.5, 0.5, 0.0])
-    assert verify_witness(-1.0 * E, report.witness)
-
-    for J in ([1], [2, 3], [1, 2, 3]):
-        for depth in (1, 2, 4):
-            assert subtensor_sample_refute(E, J, depth).passed
-
-    shifted = eta_shift(1.0, E)
-    report = subtensor_sample_refute(shifted, [1, 2], grid_depth=1)
-    assert not report.passed
-    assert np.allclose(report.witness, [0.5, 0.5, 0.0])
-    assert shifted.form(report.witness) == pytest.approx(-0.75)
-
-    with pytest.raises(ValueError):
-        subtensor_sample_refute(E, [])
-    with pytest.raises(ValueError):
-        subtensor_sample_refute(E, [1], grid_depth=0)
-    for depth in (2.7, True, "2"):
-        with pytest.raises(ValueError, match="grid_depth"):
-            subtensor_sample_refute(E, [1, 2], grid_depth=depth)
-    assert subtensor_sample_refute(E, [1, 2], grid_depth=2.0).passed
-    for J in ([0, 1], [2, 4], [-1], [1.5, 2], [True, 2]):
-        with pytest.raises(ValueError):
-            subtensor_sample_refute(E, J)
+    assert np.array_equal(report.witness, [0.5, 0.5, 0.0])
+    assert A.form(report.witness) == pytest.approx(-0.75)
+    assert verify_witness(A, report.witness)
+    # -E dips on every face too, but its diagonal refutes it first.
+    assert run_prescreen(-1.0 * ones_tensor(3, 3), grid_depth=1).violated_condition == DIAGONAL
+    for depth in (1, 2, 4):
+        assert run_prescreen(ones_tensor(3, 3), depth).passed
 
 
 def test_run_prescreen_checks_grid_depth_first():
@@ -276,16 +256,12 @@ def test_report_json():
 TAUS = (0.0, 1e-12, 1e-3)
 
 
-def _assert_matches_pointwise(A, depth, tau, faces, kinds):
-    """``run_prescreen`` and ``subtensor_sample_refute`` on each face report
-    exactly what one ``A.form`` call per embedded lattice point reports."""
+def _assert_matches_pointwise(A, depth, tau, kinds):
+    """``run_prescreen`` reports exactly what one ``A.form`` call per
+    embedded lattice point reports."""
     expected = pointwise_prescreen(A, depth, tau).to_json_dict()
     assert run_prescreen(A, depth, tau).to_json_dict() == expected, (A, depth, tau)
-    kinds["battery", expected["violated_condition"]] += 1
-    for J in faces:
-        expected = pointwise_sample_refute(A, J, depth, tau).to_json_dict()
-        assert subtensor_sample_refute(A, J, depth, tau).to_json_dict() == expected, (A, J)
-        kinds["face", expected["passed"]] += 1
+    kinds[expected["violated_condition"]] += 1
 
 
 def test_batched_face_samples_match_the_pointwise_oracle():
@@ -303,13 +279,10 @@ def test_batched_face_samples_match_the_pointwise_oracle():
         rho = spectral_radius(B).rho
         tensors.append(eta_shift(rho + float(rng.choice([-1.0, -0.1, 0.1, 1.0])), B))
     for A in tensors:
-        faces = [J for size in range(1, A.dim + 1)
-                 for J in itertools.islice(itertools.combinations(range(1, A.dim + 1), size), 3)]
         for depth in range(1, 5):
             for tau in TAUS:
-                _assert_matches_pointwise(A, depth, tau, faces, kinds)
-    assert kinds["battery", SUBTENSOR_SAMPLE] >= 100 and kinds["battery", None] >= 100
-    assert kinds["face", False] >= 300 and kinds["face", True] >= 300
+                _assert_matches_pointwise(A, depth, tau, kinds)
+    assert kinds[SUBTENSOR_SAMPLE] >= 100 and kinds[None] >= 100, kinds
 
 
 def test_face_samples_in_small_blocks_keep_face_then_lattice_order(monkeypatch):
@@ -324,10 +297,8 @@ def test_face_samples_in_small_blocks_keep_face_then_lattice_order(monkeypatch):
             A = random_symmetric(rng, m, n, lo=-1.5)
             A = SymmetricTensor(m, n, {k: abs(v) if len(set(k)) == 1 else v
                                        for k, v in A.entries.items()})
-            faces = [J for size in (2, min(n, 3))
-                     for J in itertools.islice(itertools.combinations(range(1, n + 1), size), 3)]
-            _assert_matches_pointwise(A, depth, TAUS[trial % 3], faces, kinds)
-    assert kinds["battery", SUBTENSOR_SAMPLE] >= 60 and kinds["face", False] >= 200, kinds
+            _assert_matches_pointwise(A, depth, TAUS[trial % 3], kinds)
+    assert kinds[SUBTENSOR_SAMPLE] >= 60, kinds
 
 
 def test_samples_at_the_tolerance_match_form_to_the_last_bit():
@@ -370,9 +341,9 @@ def test_samples_at_the_tolerance_match_form_to_the_last_bit():
             continue
         exact[tau] += 1
         for value in (np.nextafter(on[0], -np.inf), on[0], np.nextafter(on[0], np.inf)):
-            _assert_matches_pointwise(tuned(value), depth, tau, [(i, j)], kinds)
+            _assert_matches_pointwise(tuned(value), depth, tau, kinds)
     assert min(exact[tau] for tau in TAUS) >= 15, exact
-    assert kinds["face", False] >= 30 and kinds["face", True] >= 30, kinds
+    assert kinds[SUBTENSOR_SAMPLE] >= 30 and kinds[None] >= 30, kinds
 
 
 def test_deep_face_sampling_runs_in_bounded_memory():
