@@ -1,6 +1,6 @@
 """Symmetric tensors and their forms.
 
-A tensor here is a coefficient table over sorted multi-indices; everything
+A tensor here is a coefficient vector over sorted multi-indices; everything
 symmetric follows from that single stored representative per index class.
 This walkthrough builds a few small tensors, evaluates their forms, and
 round-trips one through the JSON interchange format.
@@ -25,7 +25,7 @@ I = identity_tensor(3, 3)
 E = ones_tensor(3, 3)
 print("identity entry (2,2,2):", I[(2, 2, 2)])
 print("identity entry (1,2,3):", I[(1, 2, 3)])
-print("stored entries: identity", I.nnz, "/ all-ones", E.nnz)
+print("nonzero entries: identity", I.nnz, "/ all-ones", E.nnz)
 
 # Reading an entry never depends on the index order.
 print("entry (3,1,2) == entry (1,2,3):", E[(3, 1, 2)] == E[(1, 2, 3)])

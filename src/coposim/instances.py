@@ -10,7 +10,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .tensor import SymmetricTensor, _Canonical, _key_index, integer, multiplicity, real
+from .tensor import SymmetricTensor, _key_index, corner_indices, integer, multiplicity, real
 
 __all__ = [
     "choi_lam_tensor",
@@ -29,27 +29,25 @@ __all__ = [
 def identity_tensor(order: int, dim: int) -> SymmetricTensor:
     """Ones on the diagonal multi-indices, zero elsewhere; ``order`` and
     ``dim`` must pass :func:`~coposim.tensor.integer`."""
-    order, dim = integer(order, "order"), integer(dim, "dim")
-    return SymmetricTensor(order, dim, _Canonical(((i,) * order, 1.0) for i in range(1, dim + 1)))
+    order, dim = integer(order, "order"), integer(dim, "dim")  # before the cached key lookups
+    values = np.zeros(len(_key_index(order, dim)))
+    values[list(corner_indices(order, dim))] = 1.0
+    return SymmetricTensor._of(order, dim, values)
 
 
 def ones_tensor(order: int, dim: int) -> SymmetricTensor:
     """Every entry equal to one; ``order`` and ``dim`` must pass :func:`~coposim.tensor.integer`."""
     order, dim = integer(order, "order"), integer(dim, "dim")  # before the cached key lookup
-    return SymmetricTensor(order, dim, _Canonical.fromkeys(_key_index(order, dim), 1.0))
+    return SymmetricTensor._of(order, dim, np.ones(len(_key_index(order, dim))))
 
 
 def eta_shift(eta: float, B: SymmetricTensor) -> SymmetricTensor:
     """The diagonal shift ``eta * identity - B`` matching B's shape, built
     at once, with the values the tensor arithmetic gives bit for bit;
     ``eta`` must pass :func:`~coposim.tensor.real`."""
-    eta, stored = real(eta, "eta"), B.entries
-    entries = _Canonical(zip(stored, map(float.__neg__, stored.values())))
-    for key in ((i,) * B.order for i in range(1, B.dim + 1)):
-        entries[key] = eta - stored.get(key, 0.0)
-    if len(entries) > B.nnz:  # diagonal keys B lacks came last
-        entries = _Canonical(sorted(entries.items()))
-    return SymmetricTensor(B.order, B.dim, entries)
+    eta, values = real(eta, "eta"), -B.coefficient_vector()
+    values[list(corner_indices(B.order, B.dim))] += eta  # -b + eta is eta - b exactly
+    return SymmetricTensor._of(B.order, B.dim, values)
 
 
 def random_tensor(order: int, dim: int, seed: int) -> SymmetricTensor:
@@ -61,24 +59,23 @@ def random_tensor(order: int, dim: int, seed: int) -> SymmetricTensor:
     skipped, and the next draw takes its place).  ``order``, ``dim`` and
     ``seed`` must pass :func:`~coposim.tensor.integer`.
     """
-    order = integer(order, "order")
-    dim = integer(dim, "dim")
+    order, dim = integer(order, "order"), integer(dim, "dim")
     rng = np.random.Generator(np.random.Philox(key=integer(seed, "seed")))
-    keys = _key_index(order, dim)  # shared key objects, compared by identity in _key_plan
-    values = rng.random(len(keys))
+    count = len(_key_index(order, dim))
+    values = rng.random(count)
     while not values.all():
         values = values[values != 0.0]
-        values = np.append(values, rng.random(len(keys) - len(values)))
-    return SymmetricTensor(order, dim, _Canonical(zip(keys, values.tolist())))
+        values = np.append(values, rng.random(count - len(values)))
+    return SymmetricTensor._of(order, dim, values)
 
 
 def random_tensor_negative_diagonal(order: int, dim: int, seed: int) -> SymmetricTensor:
     """Same stream as :func:`random_tensor` but with the leading diagonal
     entry forced to -1 (a one-entry copositivity refutation)."""
     base = random_tensor(order, dim, seed)
-    entries = _Canonical(base.entries)  # every key, so (1, ..., 1) stays first
-    entries[(1,) * base.order] = -1.0
-    return SymmetricTensor(base.order, base.dim, entries)
+    values = base.coefficient_vector()
+    values[0] = -1.0  # the key (1, ..., 1) comes first
+    return SymmetricTensor._of(base.order, base.dim, values)
 
 
 def from_polynomial(

@@ -26,7 +26,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .tensor import SymmetricTensor, _key_index, _key_plan, canonical_keys, integer, nonnegative
+from .tensor import SymmetricTensor, _key_index, _key_plan, integer, nonnegative
 
 __all__ = [
     "DIAGONAL",
@@ -106,7 +106,7 @@ def _sample_faces(A: SymmetricTensor, grid_depth: int, tau: float):
     """The first sample below ``-tau`` on the pair faces, in pair and then
     lattice order, as a failed report, or ``None``.  A pair with a negative
     sample drops the pairs after it."""
-    (columns, multiplicities), _ = _key_plan(A.order, 2, tuple(canonical_keys(A.order, 2)))
+    (columns, multiplicities), _ = _key_plan(A.order, 2)
     weights = multiplicities * A.coefficient_vector()[_face_ranks(A.order, A.dim)]
     found = None
     for points in _edge_lattice(grid_depth + 1, max(1, _BLOCK_TERMS // weights.size)):

@@ -13,7 +13,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .instances import ones_tensor
 from .tensor import SymmetricTensor, integer, real
 
 __all__ = [
@@ -22,9 +21,8 @@ __all__ = [
     "spectral_radius",
 ]
 
-# Diagonal-free (reducible) tensors can drive an iterate component to zero;
-# the iteration then restarts once on a copy shifted by this much times the
-# all-ones tensor.
+# Diagonal-free (reducible) tensors can drive an iterate component to zero; the
+# iteration then restarts once with this much added to every canonical coefficient.
 REDUCIBLE_SHIFT = 1e-12
 
 
@@ -77,7 +75,7 @@ def spectral_radius(
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if B.order < 2:
         raise ValueError("power iteration needs order >= 2")
-    if min(B.entries.values(), default=0.0) < 0.0:
+    if B.coefficient_vector().min() < 0.0:
         raise ValueError("tensor must be nonnegative")
 
     m, n = B.order, B.dim
@@ -92,7 +90,7 @@ def spectral_radius(
         if np.any(y == 0.0):
             if shift == 0.0:
                 shift = REDUCIBLE_SHIFT
-                work = B + shift * ones_tensor(m, n)
+                work = SymmetricTensor._of(m, n, B.coefficient_vector() + shift)
                 x = np.full(n, 1.0 / n)
                 continue
             raise ValueError("iterate collapsed despite the reducibility shift")

@@ -1,9 +1,11 @@
-"""Symmetric tensors stored by canonical multi-index, plus the form
-evaluations everything else builds on.
+"""Symmetric tensors stored as canonical coefficient vectors, plus the
+form evaluations everything else builds on.
 
-An order-``m``, dimension-``n`` symmetric tensor keeps one coefficient per
-sorted multi-index ``(i_1 <= ... <= i_m)`` with entries ``i_j in {1, ..., n}``.
-The remaining ``n**m - C(n+m-1, m)`` logical entries follow by symmetry, and
+An order-``m``, dimension-``n`` symmetric tensor stores one float per sorted
+multi-index ``(i_1 <= ... <= i_m)`` with entries ``i_j in {1, ..., n}``, zeros
+included, as a read-only vector in lexicographic key order; a shape with more
+than ``MAX_KEYS`` such keys is refused before anything is allocated.  The
+remaining ``n**m - C(n+m-1, m)`` logical entries follow by symmetry, and
 every sum over the dense index space is carried out over canonical keys
 weighted by the multinomial multiplicity ``m! / (c_1! ... c_n!)``, where
 ``c_i`` counts how often index ``i`` appears in the key.
@@ -11,10 +13,7 @@ weighted by the multinomial multiplicity ``m! / (c_1! ... c_n!)``, where
 Summations that feed sign decisions (form values, contractions) use
 ``math.fsum`` so accumulation error cannot flip a comparison against zero.
 What the evaluations derive from the keys alone is a key plan, built once
-per distinct key set and shared read-only; a tensor multiplies its values
-into it.  Construction canonicalizes and checks the keys, then the values;
-arithmetic and the instance constructors hand in keys already canonical
-and in order, and skip the first step.
+per shape and shared read-only; a tensor multiplies its vector into it.
 
 The same canonical ordering indexes a cell's Bernstein coefficients: the
 coefficients of the form in the barycentric coordinates of a simplex,
@@ -37,12 +36,15 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 __all__ = [
+    "MAX_KEYS",
     "SymmetricTensor",
     "canonical_key",
     "canonical_keys",
     "multiplicity",
     "split_coefficients",
 ]
+
+MAX_KEYS = 2**20  # canonical keys of the largest shape: 8 MiB of coefficients
 
 
 def integer(value, what: str = "index") -> int:
@@ -119,47 +121,14 @@ def nonnegative(value, what: str = "value") -> float:
     return value
 
 
-class _Canonical(dict):
-    """Entries with canonical in-range keys, sorted: only values get checked."""
-
-
-def _finished(entries: dict, order: int, dim: int) -> dict:
-    """``entries`` with its values passed through :func:`real` and its
-    zeros dropped, after checking that they and ``sum(multiplicity(key) *
-    |value|)`` are finite.  The multiplicities add up to ``dim ** order``,
-    so a finite ``max|value| * dim ** order`` settles the sum at once."""
-    if not set(map(type, entries.values())) <= {float}:
-        entries = {key: real(value, f"entry {key}") for key, value in entries.items()}
-    values = np.fromiter(entries.values(), dtype=float, count=len(entries))
-    if not np.isfinite(values).all():
-        key = next(key for key, value in entries.items() if not math.isfinite(value))
-        raise ValueError(f"entry {key} is not finite: {entries[key]}")
-    if not values.all():
-        entries = {key: value for key, value in entries.items() if value != 0.0}
-    largest = float(np.abs(values).max(initial=0.0))
-    try:
-        if largest * float(dim) ** order < math.inf:
-            return entries
-    except OverflowError:
-        pass
-    try:
-        if math.fsum(multiplicity(key) * abs(value) for key, value in entries.items()) < math.inf:
-            return entries
-    except OverflowError:
-        pass
-    raise ValueError(
-        "entries too large: the sum of multiplicity * |entry| over all keys is not a finite float"
-    )
-
-
 @functools.lru_cache(maxsize=64)
-def _key_plan(order: int, dim: int, keys: tuple[tuple[int, ...], ...]) -> tuple[tuple, tuple]:
-    """Read-only arrays derived from the stored ``keys`` alone, in
-    O(len(keys) * order).  The form's: 0-based key columns, multiplicities.
-    The gradient's, one term per key and distinct index ``i`` in it: the
-    columns of the key less one ``i``, the key's row, the run length of
-    ``i``; component ``i`` owns the terms ``bounds[i]:bounds[i + 1]``."""
-    keys = np.array(keys, dtype=np.intp).reshape(-1, order) - 1
+def _key_plan(order: int, dim: int) -> tuple[tuple, tuple]:
+    """Read-only arrays derived from the keys of a shape, in O(keys * order).
+    The form's: 0-based key columns, multiplicities.  The gradient's, one
+    term per key and distinct index ``i`` in it: the columns of the key less
+    one ``i``, the key's row, the run length of ``i``; component ``i`` owns
+    the terms ``bounds[i]:bounds[i + 1]``."""
+    keys = np.array(list(_key_index(order, dim)), dtype=np.intp).reshape(-1, order) - 1
     positions = _run_positions(keys)
     rows, starts = np.nonzero(positions == 1)
     index = keys[rows, starts]
@@ -176,7 +145,7 @@ def _key_plan(order: int, dim: int, keys: tuple[tuple[int, ...], ...]) -> tuple[
 
 
 class SymmetricTensor:
-    """Immutable symmetric tensor in canonical sparse storage.
+    """Immutable symmetric tensor stored as its canonical coefficient vector.
 
     Parameters
     ----------
@@ -189,36 +158,61 @@ class SymmetricTensor:
         Multi-indices may arrive in any order and are canonicalized; two
         entries that collide on the same canonical key are rejected.
         Values must be Python or numpy integers or floats (not bools).
-        Exact zeros are dropped; absent keys read as zero.  NaN and
-        infinite values are rejected, and so are entries whose weighted
-        sum ``sum(multiplicity(key) * |value|)`` is not a finite float,
-        since every term of a form value on the simplex is bounded by it.
+        Absent keys read as zero.  NaN and infinite values are rejected,
+        and so are entries whose weighted sum ``sum(multiplicity(key) *
+        |value|)`` is not a finite float, since every term of a form value
+        on the simplex is bounded by it.
+
+    The tensor stores every canonical coefficient of its shape, zeros
+    included, as one read-only vector in key order; :attr:`entries` lists
+    the nonzero ones.  Shapes above :data:`MAX_KEYS` keys raise ``ValueError``.
     """
 
-    __slots__ = ("_order", "_dim", "_entries", "_terms", "_gradient")
+    __slots__ = ("_order", "_dim", "_values", "_terms", "_gradient")
 
     def __init__(self, order, dim, entries=None):
-        order = integer(order, "order")
-        dim = integer(dim, "dim")
-        if order < 1:
-            raise ValueError(f"order must be a positive integer, got {order}")
-        if dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {dim}")
-        canonical = _Canonical() if entries is None else entries
-        if not isinstance(canonical, _Canonical):
-            canonical = {}
-            for idx, value in entries.items() if isinstance(entries, Mapping) else entries:
-                key = canonical_key(idx)
-                self._check_key_static(key, order, dim)
-                if key in canonical:
-                    raise ValueError(f"duplicate canonical key {key}")
-                canonical[key] = value
-            canonical = dict(sorted(canonical.items()))
-        self._order = order
-        self._dim = dim
-        self._entries = _finished(canonical, order, dim)
-        self._terms = None
-        self._gradient = None
+        order, dim = integer(order, "order"), integer(dim, "dim")
+        index = _key_index(order, dim)
+        canonical = {}
+        for idx, value in entries.items() if isinstance(entries, Mapping) else entries or ():
+            key = canonical_key(idx)
+            self._check_key_static(key, order, dim)
+            if key in canonical:
+                raise ValueError(f"duplicate canonical key {key}")
+            canonical[key] = value
+        values = list(canonical.values())
+        if not set(map(type, values)) <= {float}:
+            values = [real(value, f"entry {key}") for key, value in canonical.items()]
+        vector = np.zeros(len(index))
+        vector[[index[key] for key in canonical]] = values
+        self._set(order, dim, vector)
+
+    @classmethod
+    def _of(cls, order: int, dim: int, values: np.ndarray) -> "SymmetricTensor":
+        """The tensor of a valid shape with canonical coefficients ``values``."""
+        return cls.__new__(cls)._set(order, dim, values)
+
+    def _set(self, order: int, dim: int, values: np.ndarray) -> "SymmetricTensor":
+        """Store a read-only copy of ``values`` after the checks above; the
+        multiplicities sum to ``dim ** order``, so ``max|v| * dim ** order`` bounds the sum."""
+        values = values + 0.0  # -0.0 becomes +0.0, as an absent key reads
+        if not np.isfinite(values).all():
+            t = int(np.argmin(np.isfinite(values)))
+            key = next(itertools.islice(_key_index(order, dim), t, None))
+            raise ValueError(f"entry {key} is not finite: {values[t]}")
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                bounded = np.abs(values).max() * np.float64(dim) ** order < math.inf or math.fsum(
+                    (_key_plan(order, dim)[0][1] * np.abs(values)).tolist()) < math.inf
+        except OverflowError:  # from fsum
+            bounded = False
+        if not bounded:
+            raise ValueError("entries too large: the sum of multiplicity * |entry| over all keys "
+                             "is not a finite float")
+        values.setflags(write=False)
+        self._order, self._dim, self._values = order, dim, values
+        self._terms = self._gradient = None
+        return self
 
     @staticmethod
     def _check_key_static(key: tuple[int, ...], order: int, dim: int) -> None:
@@ -237,18 +231,20 @@ class SymmetricTensor:
 
     @property
     def entries(self) -> Mapping[tuple[int, ...], float]:
-        """Read-only view of the canonical entries (zeros omitted)."""
-        return MappingProxyType(self._entries)
+        """Read-only view of the nonzero coefficients, in key order."""
+        values = self._values.tolist()
+        keys = itertools.compress(_key_index(self._order, self._dim), values)
+        return MappingProxyType(dict(zip(keys, filter(None, values))))
 
     @property
     def nnz(self) -> int:
-        return len(self._entries)
+        return int(np.count_nonzero(self._values))
 
     def __getitem__(self, idx) -> float:
         """Coefficient at a multi-index given in any order."""
         key = canonical_key(idx)
         self._check_key_static(key, self._order, self._dim)
-        return self._entries.get(key, 0.0)
+        return self._values.item(_key_index(self._order, self._dim)[key])
 
     def __repr__(self) -> str:
         return f"SymmetricTensor(order={self._order}, dim={self._dim}, nnz={self.nnz})"
@@ -259,7 +255,7 @@ class SymmetricTensor:
         return (
             self._order == other._order
             and self._dim == other._dim
-            and self._entries == other._entries
+            and np.array_equal(self._values, other._values)
         )
 
     __hash__ = None
@@ -279,17 +275,15 @@ class SymmetricTensor:
         return x
 
     # -- vector space ---------------------------------------------------------
+    # An overflow makes an infinite coefficient, which ``_set`` refuses.
 
     def __add__(self, other: "SymmetricTensor") -> "SymmetricTensor":
         if not isinstance(other, SymmetricTensor):
             return NotImplemented
         self._check_shape(other)
-        merged = _Canonical(self._entries)
-        for key, value in other._entries.items():
-            merged[key] = merged.get(key, 0.0) + value
-        if len(merged) > len(self._entries):  # keys only other has came last
-            merged = _Canonical(sorted(merged.items()))
-        return SymmetricTensor(self._order, self._dim, merged)
+        with np.errstate(over="ignore"):
+            values = self._values + other._values
+        return self._of(self._order, self._dim, values)
 
     def __sub__(self, other: "SymmetricTensor") -> "SymmetricTensor":
         if not isinstance(other, SymmetricTensor):
@@ -302,21 +296,21 @@ class SymmetricTensor:
     def __mul__(self, t) -> "SymmetricTensor":
         if isinstance(t, bool) or not isinstance(t, numbers.Real):  # numpy bools are not Real
             return NotImplemented
-        products = map(float(t).__mul__, self._entries.values())
-        return SymmetricTensor(self._order, self._dim, _Canonical(zip(self._entries, products)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = float(t) * self._values
+        return self._of(self._order, self._dim, values)
 
     __rmul__ = __mul__
 
     # -- evaluations ----------------------------------------------------------
 
     def _form_arrays(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-        """Key columns and weights of the stored entries, built on first use:
-        column ``j`` holds the 0-based ``j``-th index of every key, and each
-        weight is ``multiplicity(key) * value``."""
+        """Key columns and weights, built on first use: column ``j`` holds
+        the 0-based ``j``-th index of every key, and each weight is
+        ``multiplicity(key) * value``."""
         if self._terms is None:
-            columns, multiplicities = _key_plan(self._order, self._dim, tuple(self._entries))[0]
-            values = np.fromiter(self._entries.values(), dtype=float, count=len(self._entries))
-            self._terms = (columns, multiplicities * values)
+            columns, multiplicities = _key_plan(self._order, self._dim)[0]
+            self._terms = (columns, multiplicities * self._values)
         return self._terms
 
     def _gradient_arrays(self) -> tuple[tuple[np.ndarray, ...], np.ndarray, tuple[int, ...]]:
@@ -325,7 +319,7 @@ class SymmetricTensor:
         index ``i``, with run length ``count``, has weight
         ``((value * mult) * count) / m``."""
         if self._gradient is None:
-            rest, rows, counts, bounds = _key_plan(self._order, self._dim, tuple(self._entries))[1]
+            rest, rows, counts, bounds = _key_plan(self._order, self._dim)[1]
             self._gradient = (rest, self._form_arrays()[1][rows] * counts / self._order, bounds)
         return self._gradient
 
@@ -341,7 +335,11 @@ class SymmetricTensor:
         return (weights * prod).tolist()
 
     def form(self, x) -> float:
-        """Value of the homogeneous form: the full contraction against ``x``."""
+        """Value of the homogeneous form: the full contraction against ``x``.
+
+        A zero coefficient adds an exact zero term, which ``math.fsum``
+        ignores; off the simplex, where such a key's product of ``x``
+        overflows, the term and the value are NaN."""
         x = self._check_vector(x)
         return math.fsum(self._terms_at(*self._form_arrays(), x))
 
@@ -355,14 +353,10 @@ class SymmetricTensor:
         return np.array([math.fsum(terms[a:b]) for a, b in zip(bounds, bounds[1:])])
 
     def coefficient_vector(self) -> np.ndarray:
-        """Every canonical coefficient, zeros included, in lexicographic key
-        order: the Bernstein coefficients of the standard simplex."""
-        count = math.comb(self._dim + self._order - 1, self._order)
-        values = self._entries.values()  # in that order, if every key is stored
-        if len(self._entries) < count:
-            keys = canonical_keys(self._order, self._dim)
-            values = map(self._entries.get, keys, itertools.repeat(0.0))
-        return np.fromiter(values, dtype=float, count=count)
+        """A copy of every canonical coefficient, zeros included, in
+        lexicographic key order: the Bernstein coefficients of the standard
+        simplex."""
+        return self._values.copy()
 
     # -- interchange format -----------------------------------------------------
 
@@ -371,7 +365,7 @@ class SymmetricTensor:
             "order": self._order,
             "dim": self._dim,
             "entries": [
-                {"idx": list(key), "val": value} for key, value in self._entries.items()
+                {"idx": list(key), "val": value} for key, value in self.entries.items()
             ],
         }
 
@@ -396,7 +390,17 @@ class SymmetricTensor:
 
 @functools.lru_cache(maxsize=64)
 def _key_index(order: int, dim: int) -> Mapping[tuple[int, ...], int]:
-    """Read-only map from each canonical key of shape ``(order, dim)`` to its position."""
+    """Read-only map from each canonical key of shape ``(order, dim)`` to its
+    position, where every per-shape table starts.  An empty shape, or one with
+    more than ``MAX_KEYS`` keys (a key of order above 16 counting ``order / 16``
+    times, as the tables hold its indices), raises ``ValueError`` before
+    anything is built; ``C(N, k) >= 2**k`` for ``k = min(order, dim - 1)``."""
+    if order < 1 or dim < 1:
+        raise ValueError(f"order and dim must be positive integers, got {order} and {dim}")
+    if min(order, dim - 1) >= MAX_KEYS.bit_length() or max(order, 16) * math.comb(
+            dim + order - 1, order) > 16 * MAX_KEYS:
+        raise ValueError(f"shape (order {order}, dim {dim}) has too many canonical keys: "
+                         f"the limit is MAX_KEYS = {MAX_KEYS}")
     return MappingProxyType({key: t for t, key in enumerate(canonical_keys(order, dim))})
 
 

@@ -337,6 +337,27 @@ def eager_detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdi
                    certified_cells=None if certified is None else tuple(certified))
 
 
+def kaplan(M) -> tuple[bool, bool, float]:
+    """Kaplan's criterion (Linear Algebra Appl. 313, 2000) for a symmetric
+    matrix ``M``: copositive if and only if no principal submatrix has an
+    eigenvector with every entry > 0 whose eigenvalue is < 0, and strictly
+    copositive if and only if none has one whose eigenvalue is <= 0.  One
+    ``numpy.linalg.eigh`` per nonempty index subset; an eigenvector counts
+    with either sign, and eigenvalues are taken to be simple (a repeated
+    one, probability zero for random entries, leaves its basis arbitrary).
+    Returns both answers and the margin: the absolute value of the
+    smallest eigenvalue that has such an eigenvector."""
+    M = np.asarray(M, dtype=float)
+    lowest = math.inf
+    for size in range(1, len(M) + 1):
+        for J in itertools.combinations(range(len(M)), size):
+            values, vectors = np.linalg.eigh(M[np.ix_(J, J)])
+            for value, vector in zip(values.tolist(), vectors.T):
+                if (vector > 0).all() or (vector < 0).all():
+                    lowest = min(lowest, value)
+    return lowest >= 0.0, lowest > 0.0, abs(lowest)
+
+
 def brute_mixed(dense: np.ndarray, x, k: int, y) -> float:
     m, n = dense.ndim, dense.shape[0]
     total = 0.0

@@ -350,6 +350,27 @@ def test_detect_rejects_overflowing_weights(capsys, tmp_path):
     assert out == "" and "too large" in err
 
 
+def test_shapes_above_the_key_bound_are_malformed_input(capsys, tmp_path):
+    # Two entries of an order-8, dim-40 tensor: 314 457 495 canonical keys,
+    # refused before anything is allocated instead of running out of memory.
+    path = tmp_path / "wide.json"
+    path.write_text(
+        '{"order": 8, "dim": 40, "entries": [{"idx": [1, 1, 1, 1, 1, 1, 1, 1], "val": 1.0}, '
+        '{"idx": [1, 2, 3, 4, 5, 6, 7, 40], "val": -1.0}]}'
+    )
+    for argv in (
+        ("detect", str(path)),
+        ("prescreen", str(path)),
+        ("spectral", str(path)),
+        ("gen", "--gen", "ones", "--m", "8", "--n", "40"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_DATA, argv
+        assert out == "" and "shape (order 8, dim 40)" in err and "MAX_KEYS" in err, argv
+    code, out, err = run(capsys, "detect", "--gen", "random", "--m", "12", "--n", "60")
+    assert code == EXIT_DATA and "shape (order 12, dim 60)" in err
+
+
 def test_spectral_rejects_negative_tensor(capsys):
     code, _, err = run(
         capsys, "spectral", "--gen", "eta-ones", "--m", "3", "--n", "3",

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -31,6 +32,7 @@ from _brute import (
     contains,
     dense_of,
     eager_detect,
+    kaplan,
     random_simplex_point,
     random_symmetric,
 )
@@ -556,3 +558,29 @@ def test_detect_matches_the_eager_loop():
         "undecided at the budget",
         "undecided by min_diameter",
     }
+
+
+def test_order_two_verdicts_agree_with_kaplans_criterion():
+    # Kaplan's eigenvector criterion decides order 2 exactly and shares no
+    # code with the search.  Where its margin exceeds delta the search must
+    # decide within 20k cells and agree with it; an undecided run is allowed
+    # only inside the margin.  Off-diagonal entries reach below -0.5, so a
+    # search that certified cells with 0.5 of slack would call some
+    # matrices copositive that are not.
+    rng = np.random.default_rng(67)
+    cfg = DetectorConfig(max_iterations=20_000)
+    delta = 1e-3
+    seen = set()
+    for trial in range(500):
+        n = 2 + trial % 5
+        M = rng.uniform(-0.7, 1.0, size=(n, n))
+        M = (M + M.T) / 2
+        M[np.diag_indices(n)] = rng.uniform(0.0, 1.0, size=n)
+        copositive, _, margin = kaplan(M)
+        keys = itertools.combinations_with_replacement(range(n), 2)
+        verdict = detect(SymmetricTensor(2, n, {(i + 1, j + 1): M[i, j] for i, j in keys}), cfg)
+        if margin > delta:
+            assert verdict.kind is not VerdictKind.UNDECIDED, (M, margin)
+            assert (verdict.kind is VerdictKind.COPOSITIVE) == copositive, (M, margin)
+        seen.add(copositive)
+    assert seen == {True, False}

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 import coposim
 from coposim import (
     SymmetricTensor,
+    VerdictKind,
     canonical_keys,
     detect,
     eta_shift,
@@ -22,6 +24,7 @@ from coposim import (
     random_tensor,
 )
 from coposim.tensor import (
+    MAX_KEYS,
     _key_index,
     _key_plan,
     _multiplicities,
@@ -248,14 +251,16 @@ def test_scaling_checks_overflow_and_drops_underflow():
 
 
 def _plan(T: SymmetricTensor):
-    return _key_plan(T.order, T.dim, tuple(T.entries))
+    return _key_plan(T.order, T.dim)
 
 
 def test_tensors_with_one_key_set_share_a_readonly_plan():
+    # Every tensor stores every key of its shape, so one plan serves them all.
     x = np.full(5, 0.2)
     A = random_tensor(4, 5, 0)
-    # One key set three ways: another seed, a shift, and keys parsed afresh.
-    others = (random_tensor(4, 5, 1), eta_shift(3.0, A), SymmetricTensor.from_json_dict(json.loads(json.dumps(A.to_json_dict()))))
+    # One shape four ways: another seed, a shift, keys parsed afresh, and a sparse tensor.
+    others = (random_tensor(4, 5, 1), eta_shift(3.0, A), SymmetricTensor.from_json_dict(json.loads(json.dumps(A.to_json_dict()))),
+              SymmetricTensor(4, 5, {(1, 2, 2, 5): 1.0}))
     plan = _plan(A)
     (columns, multiplicities), (rest, rows, counts, bounds) = plan
     for T in others:
@@ -263,15 +268,14 @@ def test_tensors_with_one_key_set_share_a_readonly_plan():
         assert T._form_arrays()[0] is columns and T._gradient_arrays()[0] is rest
         assert np.array_equal(T.gradient_form(x), loop_gradient(T, x))
     assert A._form_arrays()[1] is not others[0]._form_arrays()[1]
+    assert len(columns[0]) == math.comb(5 + 4 - 1, 4)
     for array in (*columns, multiplicities, *rest, rows, counts):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0
     assert isinstance(bounds, tuple)
-    # A sparse key set gets its own plan, sized by its stored keys alone.
+    # A sparse tensor's absent keys add exact zero terms.
     sparse = SymmetricTensor(6, 12, {(1,) * 6: 2.0, (1,) * 5 + (12,): -1.0, (3, 4, 5, 6, 7, 8): 1.0})
-    (sparse_columns, _), (sparse_rest, *_) = _plan(sparse)
-    assert [len(col) for col in sparse_columns] == [3] * 6 and len(sparse_rest) == 5
     y = np.linspace(1.0, 2.0, 12)
     assert sparse.form(y) == loop_form(sparse, y)
     assert np.array_equal(sparse.gradient_form(y), loop_gradient(sparse, y))
@@ -506,6 +510,40 @@ def test_split_tables_and_corners_match_the_tuple_key_builders():
         index[(1, 1, 1)] = 5
 
 
+def test_split_coefficients_equal_the_exact_congruence():
+    # An oracle that shares no code with the split: the dense congruence of
+    # the child's vertex matrix.  With integer entries within 2**10 and
+    # vertices of denominator 2**d after d splits, every coefficient on
+    # both sides is a multiple of 2**-(m*d) below 2**10 in size, so while
+    # 10 + m*d <= 53 both sides are exact in any summation order and must
+    # be equal.  Every edge of the root is split, then one path goes on as
+    # deep as that allows.
+    from test_equivalence_sweep import SHAPES
+
+    rng = np.random.default_rng(59)
+    for m, n in (*SHAPES, (6, 8), (3, 12)):
+        values = rng.integers(-2**10, 2**10, endpoint=True, size=math.comb(n + m - 1, m))
+        A = SymmetricTensor(m, n, zip(canonical_keys(m, n), values.tolist()))
+        dense = dense_of(A)
+
+        def children_match(V, c, p, q):
+            children = split_coefficients(c, m, n, p, q)
+            for row, moved in enumerate((p, q)):
+                W = V.copy()
+                W[:, moved] = 0.5 * (V[:, p] + V[:, q])
+                assert np.array_equal(children[row], congruence(dense, W).coefficient_vector()), (m, n, p, q)
+            return children
+
+        for p, q in itertools.combinations(range(n), 2):
+            children_match(np.eye(n), A.coefficient_vector(), p, q)
+        V, c = np.eye(n), A.coefficient_vector()
+        for depth in range(1, (53 - 10) // m + 1):
+            p, q = sorted(rng.choice(n, size=2, replace=False).tolist())
+            row = int(rng.integers(2))
+            c = children_match(V, c, p, q)[row]
+            V[:, (p, q)[row]] = 0.5 * (V[:, p] + V[:, q])
+
+
 def test_nonfinite_entries_rejected():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="not finite"):
@@ -535,6 +573,32 @@ def test_weighted_entries_must_stay_finite():
     A = SymmetricTensor(3, 2, {(1, 1, 1): 1e308, (1, 1, 2): 2e307})
     assert A.form([0.5, 0.5]) == pytest.approx(2e307)
     assert SymmetricTensor(3, 2, {(1, 1, 1): 2e307}).form([1.0, 0.0]) == 2e307
+
+
+def test_shapes_above_the_key_bound_are_refused_before_allocating():
+    # 314 457 495 and 1.3e12 keys, and 1 000 001 keys of a million indices
+    # each: every one raises before the key index or a vector is built.
+    tracemalloc.start()
+    try:
+        for make in (
+            lambda: SymmetricTensor(8, 40),
+            lambda: SymmetricTensor(8, 40, {(1,) * 8: 1.0}),
+            lambda: ones_tensor(8, 40),
+            lambda: identity_tensor(8, 40),
+            lambda: random_tensor(12, 60, 0),
+            lambda: SymmetricTensor(10**6, 2),
+            lambda: SymmetricTensor(10**9, 10**9),
+        ):
+            with pytest.raises(ValueError, match="MAX_KEYS"):
+                make()
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+    # The largest shape any test, demo or workload uses stays well inside.
+    assert math.comb(12 + 6 - 1, 6) == 12376 <= MAX_KEYS
+    A = random_tensor(6, 12, 0)
+    assert A.nnz == 12376 and len(A.coefficient_vector()) == 12376
+    assert detect(A).kind is VerdictKind.COPOSITIVE
 
 
 def test_multilinear_factor_permutation_invariance():
