@@ -59,7 +59,7 @@ def test_config_validation():
             DetectorConfig(keep_certificates=bad)
 
 
-def test_certify_nonnegative_tensor_on_standard_simplex():
+def test_nonnegative_tensor_is_certified_at_the_root():
     rng = np.random.default_rng(3)
     A = random_symmetric(rng, 3, 3, lo=0.0, hi=1.0)
     verdict = detect(A, DetectorConfig(keep_certificates=True))
@@ -67,7 +67,7 @@ def test_certify_nonnegative_tensor_on_standard_simplex():
     assert np.array_equal(verdict.certified_cells[0], np.eye(3))
 
 
-def test_certify_negative_vertex():
+def test_negative_midpoint_vertex_is_the_witness():
     # The root's vertex values are all 0 and its coefficients mixed, so it
     # is bisected; the child {e1, midpoint, e3} is popped next and its
     # second vertex, at -0.75, is the witness.
@@ -78,7 +78,7 @@ def test_certify_negative_vertex():
     assert verdict.min_vertex_value == pytest.approx(-0.75)
 
 
-def test_certify_indeterminate():
+def test_one_cell_budget_is_undecided_until_sigma_certifies_it():
     A = eta_shift(19.0, ones_tensor(3, 3))
     verdict = detect(A, DetectorConfig(max_iterations=1))
     assert verdict.kind is VerdictKind.UNDECIDED
@@ -134,7 +134,7 @@ def test_detect_boundary_case_is_undecided():
     assert abs(verdict.min_vertex_value) < 1e-6
 
 
-def test_stall_diagnostic_not_applicable_when_decided():
+def test_decided_runs_report_their_smallest_vertex_value():
     certified = detect(eta_shift(19.0, ones_tensor(3, 3)))
     assert certified.kind is VerdictKind.COPOSITIVE
     # far from zero: the form of 19 I - E is at least 19/9 - 1 on the simplex
@@ -145,7 +145,7 @@ def test_stall_diagnostic_not_applicable_when_decided():
     assert refuted.min_vertex_value == -1.0
 
 
-def test_stall_diagnostic_ignores_budget_starvation_far_from_zero():
+def test_undecided_run_reports_its_smallest_vertex_value():
     verdict = detect(eta_shift(19.0, ones_tensor(3, 3)), DetectorConfig(max_iterations=2))
     assert verdict.kind is VerdictKind.UNDECIDED
     # the first midpoint, at 19/4 - 1, is the smallest vertex value seen
@@ -213,7 +213,7 @@ def test_certificate_retention_and_recheck():
     assert detect(A).certified_cells is None
 
 
-def test_relaxation_certifies_motzkin():
+def test_sigma_certifies_motzkin_where_the_plain_search_stalls():
     M = motzkin_tensor()
     plain = detect(M)
     assert plain.kind is VerdictKind.UNDECIDED
@@ -249,7 +249,7 @@ def test_sigma_relaxes_the_certificate_not_the_refutation():
     assert shifted.kind is VerdictKind.COPOSITIVE and shifted.iterations == 51
 
 
-def test_relaxation_negative_passthrough():
+def test_sigma_does_not_relax_a_refutation():
     A = -1.0 * ones_tensor(3, 3)
     verdict = detect(A, DetectorConfig(sigma=0.5))
     assert verdict.kind is VerdictKind.NOT_COPOSITIVE
