@@ -204,7 +204,7 @@ class SymmetricTensor:
             with np.errstate(over="ignore", invalid="ignore"):
                 bounded = np.abs(values).max() * np.float64(dim) ** order < math.inf or math.fsum(
                     (_key_plan(order, dim)[0][1] * np.abs(values)).tolist()) < math.inf
-        except OverflowError:  # from fsum
+        except OverflowError:  # from fsum, or a multiplicity beyond the float range
             bounded = False
         if not bounded:
             raise ValueError("entries too large: the sum of multiplicity * |entry| over all keys "
