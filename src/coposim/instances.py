@@ -10,7 +10,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .tensor import SymmetricTensor, _key_index, corner_indices, integer, multiplicity, real
+from .tensor import SymmetricTensor, _key_table, corner_indices, integer, multiplicity, real
 
 __all__ = [
     "choi_lam_tensor",
@@ -30,7 +30,7 @@ def identity_tensor(order: int, dim: int) -> SymmetricTensor:
     """Ones on the diagonal multi-indices, zero elsewhere; ``order`` and
     ``dim`` must pass :func:`~coposim.tensor.integer`."""
     order, dim = integer(order, "order"), integer(dim, "dim")  # before the cached key lookups
-    values = np.zeros(len(_key_index(order, dim)))
+    values = np.zeros(len(_key_table(order, dim)[0]))
     values[list(corner_indices(order, dim))] = 1.0
     return SymmetricTensor._of(order, dim, values)
 
@@ -38,7 +38,7 @@ def identity_tensor(order: int, dim: int) -> SymmetricTensor:
 def ones_tensor(order: int, dim: int) -> SymmetricTensor:
     """Every entry equal to one; ``order`` and ``dim`` must pass :func:`~coposim.tensor.integer`."""
     order, dim = integer(order, "order"), integer(dim, "dim")  # before the cached key lookup
-    return SymmetricTensor._of(order, dim, np.ones(len(_key_index(order, dim))))
+    return SymmetricTensor._of(order, dim, np.ones(len(_key_table(order, dim)[0])))
 
 
 def eta_shift(eta: float, B: SymmetricTensor) -> SymmetricTensor:
@@ -61,7 +61,7 @@ def random_tensor(order: int, dim: int, seed: int) -> SymmetricTensor:
     """
     order, dim = integer(order, "order"), integer(dim, "dim")
     rng = np.random.Generator(np.random.Philox(key=integer(seed, "seed")))
-    count = len(_key_index(order, dim))
+    count = len(_key_table(order, dim)[0])
     values = rng.random(count)
     while not values.all():
         values = values[values != 0.0]

@@ -26,7 +26,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .tensor import SymmetricTensor, _key_index, _key_plan, integer, nonnegative
+from .tensor import (SymmetricTensor, _key_plan, _key_table, _rank, corner_indices, integer,
+                     nonnegative)
 
 __all__ = [
     "DIAGONAL",
@@ -95,9 +96,8 @@ def _face_ranks(order: int, dim: int) -> np.ndarray:
     """Read-only positions among the canonical keys of shape ``(order, dim)``
     of the keys on each pair face ``(i, j)``, one row per pair, in
     lexicographic pair order."""
-    index, keys = _key_index(order, dim), _key_index(order, 2)
-    pairs = itertools.combinations(range(1, dim + 1), 2)
-    ranks = np.array([[index[tuple(pair[i - 1] for i in key)] for key in keys] for pair in pairs])
+    pairs = np.column_stack(np.triu_indices(dim, 1))
+    ranks = _rank(order, dim, pairs[:, _key_table(order, 2)[0]])
     ranks.setflags(write=False)
     return ranks
 
@@ -129,11 +129,10 @@ def diagonal_check(A: SymmetricTensor, tau: float = 1e-12) -> PrescreenReport:
     """A negative diagonal entry refutes copositivity outright (the form
     value at the corresponding unit vector is that entry)."""
     _checked(tau)
-    for i in range(1, A.dim + 1):
-        value = A[(i,) * A.order]
+    for i, value in enumerate(A.coefficient_vector().take(corner_indices(A.order, A.dim)).tolist()):
         if value < -tau:
             witness = np.zeros(A.dim)
-            witness[i - 1] = 1.0
+            witness[i] = 1.0
             return PrescreenReport(False, violated_condition=DIAGONAL, witness=witness)
     return PrescreenReport(True)
 

@@ -2,26 +2,24 @@
 form evaluations everything else builds on.
 
 An order-``m``, dimension-``n`` symmetric tensor stores one float per sorted
-multi-index ``(i_1 <= ... <= i_m)`` with entries ``i_j in {1, ..., n}``, zeros
-included, as a read-only vector in lexicographic key order; a shape with more
-than ``MAX_KEYS`` such keys is refused before anything is allocated.  The
-remaining ``n**m - C(n+m-1, m)`` logical entries follow by symmetry, and
-every sum over the dense index space is carried out over canonical keys
-weighted by the multinomial multiplicity ``m! / (c_1! ... c_n!)``, where
-``c_i`` counts how often index ``i`` appears in the key.
+multi-index ``(i_1 <= ... <= i_m)`` over ``1..n``, zeros included, as a
+read-only vector in lexicographic key order.  Every sum over the dense
+index space runs over these keys weighted by the multiplicity
+``m! / (c_1! ... c_n!)``, ``c_i`` counting index ``i`` in the key; sums
+that feed sign decisions use ``math.fsum``, so accumulation error cannot
+flip a comparison against zero.
 
-Summations that feed sign decisions (form values, contractions) use
-``math.fsum`` so accumulation error cannot flip a comparison against zero.
-What the evaluations derive from the keys alone is a key plan, built once
-per shape and shared read-only; a tensor multiplies its vector into it.
+Every per-shape plan (the form's and gradient's, the split tables, the
+corners, the prescreen's face ranks) derives in numpy from one key table
+per shape: its keys as an integer array, and a rank table that gives any
+sorted key its position as one sum.  A shape with more than ``MAX_KEYS``
+keys, or with multiplicities beyond the float range, is refused there.
 
-The same canonical ordering indexes a cell's Bernstein coefficients: the
-coefficients of the form in the barycentric coordinates of a simplex,
-listed for every canonical key (zeros included).
-:func:`split_coefficients` derives both children's coefficients from
-their parent's by midpoint subdivision (de Casteljau in the simplicial
-Bernstein basis), in one gather and with no dense array, and
-:func:`corner_indices` locates the coefficients that are vertex values.
+The same ordering indexes a cell's Bernstein coefficients, those of the
+form in the barycentric coordinates of a simplex.  :func:`split_coefficients`
+derives both children's from their parent's by midpoint subdivision (de
+Casteljau in the simplicial Bernstein basis), in one gather and with no
+dense array; :func:`corner_indices` locates those that are vertex values.
 """
 
 from __future__ import annotations
@@ -30,6 +28,7 @@ import functools
 import itertools
 import math
 import numbers
+import sys
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -84,20 +83,14 @@ def multiplicity(key: tuple[int, ...]) -> int:
     return count
 
 
-def _run_positions(keys: np.ndarray) -> np.ndarray:
-    """For a matrix of sorted keys (one per row), the 1-based position of
-    every entry within its run of equal indices, built column by column."""
+def _multiplicities(keys: np.ndarray) -> np.ndarray:
+    """``multiplicity`` of every sorted key (row of ``keys``) as a float: the
+    positions of a key's entries within their runs of equal indices multiply
+    to ``c_1! ... c_n!``, exact in int64 up to order 20 (``20!`` fits) and in Python ints above."""
+    m = keys.shape[1]
     positions = np.ones(keys.shape, dtype=np.int64)
-    for j in range(1, keys.shape[1]):
+    for j in range(1, m):
         positions[:, j] += (keys[:, j] == keys[:, j - 1]) * positions[:, j - 1]
-    return positions
-
-
-def _multiplicities(positions: np.ndarray) -> np.ndarray:
-    """``multiplicity`` of every key, as floats, from its run positions:
-    the product of a key's run positions is ``c_1! ... c_n!``.  Exact in
-    int64 up to order 20 (``20!`` fits); above that in Python ints."""
-    m = positions.shape[1]
     counts = positions if m <= 20 else positions.astype(object)
     return (math.factorial(m) // np.prod(counts, axis=1)).astype(float)
 
@@ -122,26 +115,59 @@ def nonnegative(value, what: str = "value") -> float:
 
 
 @functools.lru_cache(maxsize=64)
+def _key_table(order: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only key table of a shape ``(m, n)``: the canonical keys as
+    0-based rows of a ``(K, m)`` array in lexicographic order, and the rank
+    table ``R[j, v] = C(n+m-2-j, m-j) - C(n+m-2-j-v, m-j)`` (the combinatorial
+    number system for multisets; no entry exceeds K), so that a key's
+    position is ``sum_j R[j, key[j]]``.  An empty shape, one above
+    ``MAX_KEYS`` (a key of order ``m > 16`` counting ``m / 16`` times), or one
+    whose multiplicities leave the float range raises ``ValueError`` first."""
+    if order < 1 or dim < 1:
+        raise ValueError(f"order and dim must be positive integers, got {order} and {dim}")
+    if min(order, dim - 1) >= MAX_KEYS.bit_length() or max(order, 16) * (  # K >= 2**min(m, n - 1)
+            count := math.comb(dim + order - 1, order)) > 16 * MAX_KEYS:
+        raise ValueError(f"shape (order {order}, dim {dim}) has too many canonical keys: "
+                         f"the limit is MAX_KEYS = {MAX_KEYS}")
+    q, r = divmod(order, dim)  # the most permuted key: r indices q + 1 times, the rest q times
+    largest = math.prod(math.comb(order - t * q - min(t, r), q + (t < r))
+                        for t in range(min(order, dim)))
+    if largest > sys.float_info.max:
+        raise ValueError(f"shape (order {order}, dim {dim}) has keys of multiplicity about "
+                         f"10**{math.log10(largest):.1f}, beyond the float range")
+    keys = np.fromiter(itertools.chain.from_iterable(itertools.combinations_with_replacement(
+        range(dim), order)), np.intp, count * order).reshape(count, order)
+    ranks = np.array([[math.comb(dim + order - 2 - j - v, order - j) for v in range(dim)]
+                      for j in range(order)], dtype=np.intp)
+    ranks = ranks[:, :1] - ranks
+    for array in (keys, ranks):
+        array.setflags(write=False)
+    return keys, ranks
+
+
+def _rank(order: int, dim: int, keys: np.ndarray) -> np.ndarray:
+    """Positions of the 0-based sorted keys on the last axis of ``keys``, by the rank rule."""
+    return _key_table(order, dim)[1].take(keys + np.arange(0, order * dim, dim)).sum(axis=-1)
+
+
+@functools.lru_cache(maxsize=64)
 def _key_plan(order: int, dim: int) -> tuple[tuple, tuple]:
-    """Read-only arrays derived from the keys of a shape, in O(keys * order).
-    The form's: 0-based key columns, multiplicities.  The gradient's, one
-    term per key and distinct index ``i`` in it: the columns of the key less
-    one ``i``, the key's row, the run length of ``i``; component ``i`` owns
-    the terms ``bounds[i]:bounds[i + 1]``."""
-    keys = np.array(list(_key_index(order, dim)), dtype=np.intp).reshape(-1, order) - 1
-    positions = _run_positions(keys)
-    rows, starts = np.nonzero(positions == 1)
-    index = keys[rows, starts]
-    ranked = np.argsort(index, kind="stable")
-    rows, starts, index = rows[ranked], starts[ranked], index[ranked]
-    slots = np.arange(order - 1)
-    rest = keys[rows[:, None], slots + (slots >= starts[:, None])]
+    """Read-only arrays derived from the key table of a shape.  The form's:
+    0-based key columns, multiplicities.  The gradient's, over the keys
+    ``b`` of order ``m - 1`` (for order 1 the empty key): their columns, and
+    ``(dim, K')`` positions of the keys ``b + i`` and run lengths of ``i`` there."""
+    keys = _key_table(order, dim)[0]
+    rest = _key_table(order - 1, dim)[0] if order > 1 else np.empty((1, 0), np.intp)
+    grown = np.empty((dim, len(rest), order), np.intp)
+    grown[:, :, :-1], grown[:, :, -1] = rest, np.arange(dim)[:, None]
+    grown.sort(axis=2)
+    rows = _rank(order, dim, grown)
+    counts = (grown == np.arange(dim)[:, None, None]).sum(axis=2)
     columns, rest = (tuple(map(np.ascontiguousarray, a.T)) for a in (keys, rest))
-    multiplicities, counts = _multiplicities(positions), (keys[rows] == index[:, None]).sum(axis=1)
+    multiplicities = _multiplicities(keys)
     for array in (*columns, *rest, multiplicities, rows, counts):
         array.setflags(write=False)
-    bounds = tuple(np.searchsorted(index, np.arange(dim + 1)).tolist())
-    return (columns, multiplicities), (rest, rows, counts, bounds)
+    return (columns, multiplicities), (rest, rows, counts)
 
 
 class SymmetricTensor:
@@ -163,16 +189,16 @@ class SymmetricTensor:
         |value|)`` is not a finite float, since every term of a form value
         on the simplex is bounded by it.
 
-    The tensor stores every canonical coefficient of its shape, zeros
-    included, as one read-only vector in key order; :attr:`entries` lists
-    the nonzero ones.  Shapes above :data:`MAX_KEYS` keys raise ``ValueError``.
+    :attr:`entries` lists the nonzero coefficients.  Shapes above
+    :data:`MAX_KEYS` keys, or whose multiplicities leave the float range,
+    raise ``ValueError``.
     """
 
     __slots__ = ("_order", "_dim", "_values", "_terms", "_gradient")
 
     def __init__(self, order, dim, entries=None):
         order, dim = integer(order, "order"), integer(dim, "dim")
-        index = _key_index(order, dim)
+        vector = np.zeros(len(_key_table(order, dim)[0]))
         canonical = {}
         for idx, value in entries.items() if isinstance(entries, Mapping) else entries or ():
             key = canonical_key(idx)
@@ -183,8 +209,8 @@ class SymmetricTensor:
         values = list(canonical.values())
         if not set(map(type, values)) <= {float}:
             values = [real(value, f"entry {key}") for key, value in canonical.items()]
-        vector = np.zeros(len(index))
-        vector[[index[key] for key in canonical]] = values
+        keys = np.fromiter(itertools.chain.from_iterable(canonical), np.intp, order * len(values))
+        vector[_rank(order, dim, keys.reshape(-1, order) - 1)] = values
         self._set(order, dim, vector)
 
     @classmethod
@@ -198,13 +224,13 @@ class SymmetricTensor:
         values = values + 0.0  # -0.0 becomes +0.0, as an absent key reads
         if not np.isfinite(values).all():
             t = int(np.argmin(np.isfinite(values)))
-            key = next(itertools.islice(_key_index(order, dim), t, None))
+            key = tuple((_key_table(order, dim)[0][t] + 1).tolist())
             raise ValueError(f"entry {key} is not finite: {values[t]}")
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 bounded = np.abs(values).max() * np.float64(dim) ** order < math.inf or math.fsum(
                     (_key_plan(order, dim)[0][1] * np.abs(values)).tolist()) < math.inf
-        except OverflowError:  # from fsum, or a multiplicity beyond the float range
+        except OverflowError:  # from fsum: the shape's multiplicities are floats
             bounded = False
         if not bounded:
             raise ValueError("entries too large: the sum of multiplicity * |entry| over all keys "
@@ -232,9 +258,9 @@ class SymmetricTensor:
     @property
     def entries(self) -> Mapping[tuple[int, ...], float]:
         """Read-only view of the nonzero coefficients, in key order."""
-        values = self._values.tolist()
-        keys = itertools.compress(_key_index(self._order, self._dim), values)
-        return MappingProxyType(dict(zip(keys, filter(None, values))))
+        nonzero = np.flatnonzero(self._values)
+        keys = (_key_table(self._order, self._dim)[0][nonzero] + 1).tolist()
+        return MappingProxyType(dict(zip(map(tuple, keys), self._values[nonzero].tolist())))
 
     @property
     def nnz(self) -> int:
@@ -244,7 +270,7 @@ class SymmetricTensor:
         """Coefficient at a multi-index given in any order."""
         key = canonical_key(idx)
         self._check_key_static(key, self._order, self._dim)
-        return self._values.item(_key_index(self._order, self._dim)[key])
+        return self._values.item(_rank(self._order, self._dim, np.array(key) - 1))
 
     def __repr__(self) -> str:
         return f"SymmetricTensor(order={self._order}, dim={self._dim}, nnz={self.nnz})"
@@ -305,28 +331,26 @@ class SymmetricTensor:
     # -- evaluations ----------------------------------------------------------
 
     def _form_arrays(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-        """Key columns and weights, built on first use: column ``j`` holds
-        the 0-based ``j``-th index of every key, and each weight is
-        ``multiplicity(key) * value``."""
+        """Key columns and weights ``multiplicity(key) * value``, built on
+        first use: column ``j`` holds the 0-based ``j``-th index of every key."""
         if self._terms is None:
             columns, multiplicities = _key_plan(self._order, self._dim)[0]
             self._terms = (columns, multiplicities * self._values)
         return self._terms
 
-    def _gradient_arrays(self) -> tuple[tuple[np.ndarray, ...], np.ndarray, tuple[int, ...]]:
-        """Rest-index columns, weights and component bounds for
-        :meth:`gradient_form`, built on first use: a key's term for its
-        index ``i``, with run length ``count``, has weight
-        ``((value * mult) * count) / m``."""
+    def _gradient_arrays(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """Rest-key columns and ``(dim, K')`` weights, built on first use: the
+        term of component ``i`` and rest key ``b`` weighs ``((value * mult) *
+        count) / m`` of the key ``b + i``, in which ``i`` runs ``count`` times."""
         if self._gradient is None:
-            rest, rows, counts, bounds = _key_plan(self._order, self._dim)[1]
-            self._gradient = (rest, self._form_arrays()[1][rows] * counts / self._order, bounds)
+            rest, rows, counts = _key_plan(self._order, self._dim)[1]
+            self._gradient = (rest, self._form_arrays()[1][rows] * counts / self._order)
         return self._gradient
 
     @staticmethod
     def _terms_at(columns, weights, x) -> list[float]:
-        """``weights * (x[c0] * x[c1] * ...)``, the product taken left to
-        right as ``math.prod`` would."""
+        """``weights * (x[c0] * x[c1] * ...)`` as nested lists, the product
+        taken left to right as ``math.prod`` would."""
         if not columns:
             return weights.tolist()
         prod = x[columns[0]]
@@ -348,9 +372,7 @@ class SymmetricTensor:
         ``x`` over the remaining ``m - 1`` slots of every entry with a leading
         index ``i``.  Satisfies ``x @ gradient_form(x) == form(x)``."""
         x = self._check_vector(x)
-        columns, weights, bounds = self._gradient_arrays()
-        terms = self._terms_at(columns, weights, x)
-        return np.array([math.fsum(terms[a:b]) for a, b in zip(bounds, bounds[1:])])
+        return np.array(list(map(math.fsum, self._terms_at(*self._gradient_arrays(), x))))
 
     def coefficient_vector(self) -> np.ndarray:
         """A copy of every canonical coefficient, zeros included, in
@@ -388,22 +410,6 @@ class SymmetricTensor:
         return cls(order, dim, pairs)
 
 
-@functools.lru_cache(maxsize=64)
-def _key_index(order: int, dim: int) -> Mapping[tuple[int, ...], int]:
-    """Read-only map from each canonical key of shape ``(order, dim)`` to its
-    position, where every per-shape table starts.  An empty shape, or one with
-    more than ``MAX_KEYS`` keys (a key of order above 16 counting ``order / 16``
-    times, as the tables hold its indices), raises ``ValueError`` before
-    anything is built; ``C(N, k) >= 2**k`` for ``k = min(order, dim - 1)``."""
-    if order < 1 or dim < 1:
-        raise ValueError(f"order and dim must be positive integers, got {order} and {dim}")
-    if min(order, dim - 1) >= MAX_KEYS.bit_length() or max(order, 16) * math.comb(
-            dim + order - 1, order) > 16 * MAX_KEYS:
-        raise ValueError(f"shape (order {order}, dim {dim}) has too many canonical keys: "
-                         f"the limit is MAX_KEYS = {MAX_KEYS}")
-    return MappingProxyType({key: t for t, key in enumerate(canonical_keys(order, dim))})
-
-
 @functools.lru_cache(maxsize=256)
 def _split_table(order: int, dim: int, p: int, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gather plan for :func:`split_coefficients`, built the first time the
@@ -412,21 +418,22 @@ def _split_table(order: int, dim: int, p: int, q: int) -> tuple[np.ndarray, np.n
     child ``0`` replaces ``p`` and child ``1`` replaces ``q``.  In the child
     that replaces ``a`` by the midpoint of ``(a, b)``, a key with ``k``
     copies of ``a`` draws, for each ``j``, on the key with ``j`` of them
-    replaced by ``b``, with weight ``C(k, j) / 2**k`` (exact in binary).
-    Keys without ``a`` copy over."""
+    replaced by ``b``, with weight ``C(k, j) / 2**k`` (exact in binary),
+    read from a triangle no longer than a child's entries.  Keys without
+    ``a`` copy over."""
     if not 0 <= p < q < dim:
         raise ValueError(f"({p}, {q}) is not an edge p < q of a {dim}-vertex cell")
-    index = _key_index(order, dim)
-    rows, sources, weights = [], [], []
-    for child, (a, b) in enumerate(((p + 1, q + 1), (q + 1, p + 1))):
-        for t, key in enumerate(index, start=child * len(index)):
-            k = key.count(a)
-            rest = tuple(i for i in key if i != a)
-            for j in range(k + 1):
-                rows.append(t)
-                sources.append(index[tuple(sorted(rest + (b,) * j + (a,) * (k - j)))])
-                weights.append(math.comb(k, j) / 2**k)
-    table = (np.array(rows, dtype=np.intp), np.array(sources, dtype=np.intp), np.array(weights))
+    keys = _key_table(order, dim)[0]
+    a, b = (np.repeat(ends, len(keys))[:, None] for ends in ((p, q), (q, p)))
+    keys = np.concatenate((keys, keys))  # child 0 replaces a = p, child 1 a = q
+    copies = keys == a
+    k = copies.sum(axis=1)
+    rows, j = np.nonzero(np.arange(order + 1) <= k[:, None])  # j ascends within a row
+    copies, k = copies[rows], k[rows]
+    moved = np.where(copies & (copies.cumsum(axis=1) <= j[:, None]), b[rows], keys[rows])
+    moved.sort(axis=1)
+    binomials = np.array([math.comb(c, i) / 2**c for c in range(order + 1) for i in range(c + 1)])
+    table = (rows, _rank(order, dim, moved), binomials[k * (k + 1) // 2 + j])
     for array in table:
         array.setflags(write=False)
     return table
@@ -434,26 +441,20 @@ def _split_table(order: int, dim: int, p: int, q: int) -> tuple[np.ndarray, np.n
 
 @functools.lru_cache(maxsize=64)
 def corner_indices(order: int, dim: int) -> tuple[int, ...]:
-    """Entry ``v`` is the position of the key ``(v + 1, ..., v + 1)``
-    among the canonical keys of shape ``(order, dim)``: a cell's Bernstein
-    coefficient there is the form's value at its vertex ``v``."""
-    return tuple(_key_index(order, dim)[(i,) * order] for i in range(1, dim + 1))
+    """Entry ``v`` is the position of the key ``(v + 1, ..., v + 1)``, where
+    a cell's Bernstein coefficient is the form's value at its vertex ``v``."""
+    return tuple(_key_table(order, dim)[1].sum(axis=0).tolist())
 
 
 def split_coefficients(coefficients: np.ndarray, order: int, dim: int, p: int, q: int) -> np.ndarray:
     """Bernstein coefficients of both children of bisecting edge ``(p, q)``
-    (0-based, ``p < q``) at its midpoint, from the parent's, as a ``(2, K)``
-    array: row 0 is the child that replaces vertex ``p`` by the midpoint,
-    row 1 the child that replaces ``q``.
-
-    ``coefficients`` lists the parent's ``K`` coefficients, one for every
-    canonical key of shape ``(order, dim)`` in lexicographic order, as
-    :meth:`SymmetricTensor.coefficient_vector` does for the standard
-    simplex.  Each child coefficient is a convex combination of at most
-    ``order + 1`` parent coefficients, so the cost is O(keys * order) and
-    rounding cannot grow the coefficients' range.  Both rows come from one
-    gather and one ``bincount``.
-    """
+    (0-based, ``p < q``) at its midpoint, from the parent's ``K``
+    coefficients in key order (as :meth:`SymmetricTensor.coefficient_vector`
+    gives them for the standard simplex), as a ``(2, K)`` array: row 0 is
+    the child that replaces vertex ``p`` by the midpoint, row 1 the child
+    that replaces ``q``.  Each child coefficient is a convex combination of
+    at most ``order + 1`` parent coefficients, so the cost is O(keys *
+    order) and rounding cannot grow the coefficients' range."""
     rows, sources, weights = _split_table(order, dim, p, q)
     K = len(coefficients)
     return np.bincount(rows, weights=weights * coefficients[sources], minlength=2 * K).reshape(2, K)

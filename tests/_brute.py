@@ -26,6 +26,18 @@ from coposim.tensor import corner_indices, split_coefficients
 
 
 def dense_of(A: SymmetricTensor) -> np.ndarray:
+    """Dense array read off the coefficient vector: every multi-index is
+    sorted, coded in base ``n`` and found by ``searchsorted`` among the
+    codes of the canonical keys, which ascend in lexicographic order."""
+    m, n = A.order, A.dim
+    codes = n ** np.arange(m - 1, -1, -1)
+    keys = np.array(list(canonical_keys(m, n))) - 1
+    index = np.sort(np.indices((n,) * m).reshape(m, -1), axis=0)
+    positions = np.searchsorted(keys @ codes, codes @ index)
+    return A.coefficient_vector()[positions].reshape((n,) * m)
+
+
+def dense_loop(A: SymmetricTensor) -> np.ndarray:
     """Dense array filled position by position via sorted lookup."""
     m, n = A.order, A.dim
     dense = np.zeros((n,) * m)
@@ -260,6 +272,16 @@ def split_table_loop(order: int, dim: int, p: int, q: int):
                 sources.append(index[tuple(sorted(rest + (b,) * j + (a,) * (k - j)))])
                 weights.append(math.comb(k, j) / 2**k)
     return np.array(rows, dtype=np.intp), np.array(sources, dtype=np.intp), np.array(weights)
+
+
+def face_ranks_loop(order: int, dim: int) -> np.ndarray:
+    """Positions among the canonical keys of shape ``(order, dim)`` of the
+    keys on each pair face ``(i, j)``, one row per pair in lexicographic
+    pair order, built key by key over tuple keys with their own index dict."""
+    index = {key: t for t, key in enumerate(canonical_keys(order, dim))}
+    pairs = itertools.combinations(range(1, dim + 1), 2)
+    return np.array([[index[tuple(pair[i - 1] for i in key)] for key in canonical_keys(order, 2)]
+                     for pair in pairs])
 
 
 def corner_indices_loop(order: int, dim: int) -> tuple[int, ...]:

@@ -371,6 +371,12 @@ def test_shapes_above_the_key_bound_are_malformed_input(capsys, tmp_path):
     assert code == EXIT_DATA and "shape (order 12, dim 60)" in err
 
 
+def test_shapes_beyond_the_float_multiplicities_are_malformed_input(capsys):
+    code, out, err = run(capsys, "gen", "--gen", "identity", "--m", "1100", "--n", "2")
+    assert code == EXIT_DATA
+    assert out == "" and "shape (order 1100, dim 2)" in err and "beyond the float range" in err
+
+
 def test_spectral_rejects_negative_tensor(capsys):
     code, _, err = run(
         capsys, "spectral", "--gen", "eta-ones", "--m", "3", "--n", "3",

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -22,13 +23,15 @@ from coposim import (
     multiplicity,
     ones_tensor,
     random_tensor,
+    spectral_radius,
 )
+from coposim.prescreen import _face_ranks
 from coposim.tensor import (
     MAX_KEYS,
-    _key_index,
     _key_plan,
+    _key_table,
     _multiplicities,
-    _run_positions,
+    _rank,
     _split_table,
     canonical_key,
     corner_indices,
@@ -45,9 +48,11 @@ from _brute import (
     brute_multilinear,
     close,
     congruence,
+    dense_loop,
     dense_of,
     loop_form,
     loop_gradient,
+    face_ranks_loop,
     principal_subtensor,
     random_symmetric,
     split_table_loop,
@@ -134,7 +139,7 @@ def test_vectorized_multiplicities_are_exact():
     shapes = [(m, n) for m in range(1, 9) for n in range(1, 7)] + [(23, 3), (40, 2)]
     for m, n in shapes:
         keys = list(canonical_keys(m, n))
-        got = _multiplicities(_run_positions(np.array(keys) - 1))
+        got = _multiplicities(np.array(keys) - 1)
         assert got.dtype == float
         assert got.tolist() == [float(multiplicity(key)) for key in keys], (m, n)
 
@@ -262,18 +267,18 @@ def test_tensors_with_one_key_set_share_a_readonly_plan():
     others = (random_tensor(4, 5, 1), eta_shift(3.0, A), SymmetricTensor.from_json_dict(json.loads(json.dumps(A.to_json_dict()))),
               SymmetricTensor(4, 5, {(1, 2, 2, 5): 1.0}))
     plan = _plan(A)
-    (columns, multiplicities), (rest, rows, counts, bounds) = plan
+    (columns, multiplicities), (rest, rows, counts) = plan
     for T in others:
         assert _plan(T) is plan
         assert T._form_arrays()[0] is columns and T._gradient_arrays()[0] is rest
         assert np.array_equal(T.gradient_form(x), loop_gradient(T, x))
     assert A._form_arrays()[1] is not others[0]._form_arrays()[1]
     assert len(columns[0]) == math.comb(5 + 4 - 1, 4)
+    assert len(rest) == 3 and rows.shape == counts.shape == (5, math.comb(5 + 3 - 1, 3))
     for array in (*columns, multiplicities, *rest, rows, counts):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0
-    assert isinstance(bounds, tuple)
     # A sparse tensor's absent keys add exact zero terms.
     sparse = SymmetricTensor(6, 12, {(1,) * 6: 2.0, (1,) * 5 + (12,): -1.0, (3, 4, 5, 6, 7, 8): 1.0})
     y = np.linspace(1.0, 2.0, 12)
@@ -407,8 +412,9 @@ def test_brute_force_equivalence():
         assert np.allclose(A.gradient_form(x), brute_gradient(dense, x), atol=1e-10)
 
 
-@pytest.mark.parametrize("m, n", [(3, 3), (4, 4), (6, 3), (6, 5), (4, 8), (3, 10), (22, 3)])
-def test_form_and_gradient_match_reference_loops_exactly(m, n):
+@pytest.mark.parametrize("m, n", [(1, 4), (2, 5), (3, 3), (4, 4), (5, 4), (6, 3), (6, 5),
+                                  (7, 3), (4, 8), (3, 10), (22, 3)])
+def test_form_and_gradient_match_reference_loops_exactly(m, n, monkeypatch):
     rng = np.random.default_rng(1000 * m + n)
     previous = SymmetricTensor(m, n)
     for trial in range(5):
@@ -423,6 +429,14 @@ def test_form_and_gradient_match_reference_loops_exactly(m, n):
         ):
             assert T.form(x) == loop_form(T, x)
             assert np.array_equal(T.gradient_form(x), loop_gradient(T, x))
+    if m > 1:  # and the power iteration, which contracts through gradient_form only
+        B, tol = random_tensor(m, n, 0), 1e-10 * n**m  # its rho is below n**m
+        ours = spectral_radius(B, tol)
+        monkeypatch.setattr(SymmetricTensor, "gradient_form", loop_gradient)
+        loop = spectral_radius(B, tol)
+        assert (ours.rho, ours.lower, ours.upper, ours.iterations) == (
+            loop.rho, loop.lower, loop.upper, loop.iterations)
+        assert np.array_equal(ours.x, loop.x)
 
 
 def test_split_coefficients_track_the_congruence():
@@ -464,17 +478,24 @@ def test_split_coefficients_track_the_congruence():
 
 
 def test_split_tables_are_built_on_demand_bounded_and_readonly():
+    # Importing the package and the CLI builds no per-shape table.
     probe = (
-        "import coposim, coposim.cli, coposim.tensor as t\n"
-        "info = t._split_table.cache_info()\n"
-        "print(info.currsize, info.maxsize)\n"
+        "import coposim, coposim.cli\n"
+        "from coposim import detector as d, prescreen as p, tensor as t\n"
+        "for cache in (t._key_table, t._key_plan, t._split_table, t.corner_indices,\n"
+        "              p._face_ranks, d._edges):\n"
+        "    info = cache.cache_info()\n"
+        "    print(cache.__name__, info.currsize, info.maxsize)\n"
     )
     src = os.path.dirname(os.path.dirname(coposim.__file__))
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
-    ).stdout.split()
-    assert out[0] == "0" and int(out[1]) > 0
+    ).stdout.splitlines()
+    assert len(out) == 6
+    for line in out:
+        name, size, bound = line.split()
+        assert size == "0" and int(bound) > 0, line
     from coposim.tensor import _split_table
 
     for array in _split_table(3, 4, 0, 2):
@@ -503,11 +524,39 @@ def test_split_tables_and_corners_match_the_tuple_key_builders():
             for ours, loop in zip(_split_table(m, n, p, q), split_table_loop(m, n, p, q)):
                 assert ours.dtype == loop.dtype and np.array_equal(ours, loop), (m, n, p, q)
                 assert not ours.flags.writeable
-    index = _key_index(3, 4)
-    assert list(index) == list(canonical_keys(3, 4)) and list(index.values()) == list(range(20))
-    assert _key_index(np.int64(3), 4.0) is index  # cached by value
-    with pytest.raises(TypeError):
-        index[(1, 1, 1)] = 5
+    keys, ranks = _key_table(3, 4)
+    assert keys.tolist() == [[i - 1 for i in key] for key in canonical_keys(3, 4)]
+    assert ranks.shape == (3, 4) and _key_table(np.int64(3), 4.0)[0] is keys  # cached by value
+    for array in (keys, ranks):
+        with pytest.raises(ValueError):
+            array[0, 0] = 5
+
+
+# Shapes with one index or one slot, every golden-sweep shape, and shapes
+# whose keys would overflow a base-(m + 1) exponent code, (3, 32), or hold
+# many slots, (20, 3), or many indices, (2, 300).
+RANK_SHAPES = ((1, 1), (1, 7), (5, 1), (3, 3), (3, 4), (4, 3), (4, 4), (6, 3), (4, 5), (6, 5),
+               (3, 6), (6, 8), (3, 12), (3, 32), (20, 3), (2, 300))
+
+
+@pytest.mark.parametrize("m, n", RANK_SHAPES)
+def test_rank_rule_gives_every_key_its_position(m, n):
+    keys = list(canonical_keys(m, n))
+    position = {key: t for t, key in enumerate(keys)}
+    ranks = _rank(m, n, np.array(keys) - 1)
+    assert ranks.dtype == np.intp and ranks.tolist() == list(range(len(keys)))
+    assert corner_indices(m, n) == tuple(position[(i,) * m] for i in range(1, n + 1))
+    rng = np.random.default_rng(61)
+    drawn = np.sort(rng.integers(0, n, size=(200, m)), axis=1)
+    assert _rank(m, n, drawn).tolist() == [position[tuple(key)] for key in (drawn + 1).tolist()]
+
+
+def test_face_ranks_match_the_tuple_key_builder():
+    from test_equivalence_sweep import SHAPES
+
+    for m, n in (*SHAPES, (6, 8), (3, 12)):
+        ours = _face_ranks(m, n)
+        assert np.array_equal(ours, face_ranks_loop(m, n)) and not ours.flags.writeable, (m, n)
 
 
 def test_split_coefficients_equal_the_exact_congruence():
@@ -599,6 +648,31 @@ def test_shapes_above_the_key_bound_are_refused_before_allocating():
     A = random_tensor(6, 12, 0)
     assert A.nnz == 12376 and len(A.coefficient_vector()) == 12376
     assert detect(A).kind is VerdictKind.COPOSITIVE
+
+
+def test_shapes_whose_multiplicities_leave_the_float_range_are_refused():
+    # C(1100, 550) is about 10**329.5: no tensor of that shape, the zero
+    # tensor included, can weigh its keys, so the shape is refused at once.
+    for make in (
+        lambda: SymmetricTensor(1100, 2),
+        lambda: SymmetricTensor(1100, 2, {(1,) * 1100: 1.0}),
+        lambda: identity_tensor(1100, 2),
+        lambda: ones_tensor(1100, 2),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"shape \(order 1100, dim 2\).*10\*\*329\.5"):
+            make()
+        assert time.perf_counter() - start < 0.1
+    # C(1000, 500) is about 2.7e299, a float.
+    assert identity_tensor(1000, 2).form([0.5, 0.5]) == 2 * 0.5**1000
+
+
+def test_dense_of_matches_the_per_position_fill():
+    rng = np.random.default_rng(67)
+    for m, n in ((1, 1), (1, 4), (2, 3), (3, 3), (4, 2), (5, 1), (3, 5)):
+        A = random_symmetric(rng, m, n)
+        for T in (A, SymmetricTensor(m, n, {k: v for k, v in A.entries.items() if k[0] < 2})):
+            assert np.array_equal(dense_of(T), dense_loop(T)), (m, n)
 
 
 def test_multilinear_factor_permutation_invariance():
