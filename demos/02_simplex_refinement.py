@@ -1,12 +1,13 @@
 """The partition a certified run leaves.
 
 The detector searches the standard simplex, the set of unit-sum
-nonnegative vectors.  A cell is an (n, n) array with one vertex per row,
-and the root cell is the identity.  A cell that is neither refuted nor
+nonnegative vectors.  The search holds a cell as a tuple of n vertex
+tuples, and the root cell is the identity's rows.  A cell that is neither refuted nor
 certified is split at the midpoint of its longest edge into two children,
 each the parent with one endpoint replaced by the midpoint.  A copositive
 run with ``keep_certificates=True`` returns the certified cells: the
-leaves of that refinement, in the order the depth-first search met them.
+leaves of that refinement, in the order the depth-first search met them,
+each as an (n, n) array with one vertex per row.
 """
 
 import itertools
@@ -54,7 +55,8 @@ print("sum of |det|:", math.fsum(abs(np.linalg.det(cell)) for cell in cells))
 diameter = max(np.linalg.norm(a - b) for cell in cells for a, b in itertools.combinations(cell, 2))
 print("largest diameter:", diameter)
 
-# Certified cells are read-only views of the search's own cells.
+# Certified cells are read-only arrays, built from the search's vertex
+# tuples when the run ends.
 try:
     cells[0][0, 0] = 0.0
 except ValueError as error:

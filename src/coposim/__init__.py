@@ -40,7 +40,7 @@ from .spectral import (
     PowerIterationResult,
     spectral_radius,
 )
-from .tensor import SymmetricTensor, canonical_key, canonical_keys, multiplicity
+from .tensor import SymmetricTensor, canonical_key, multiplicity
 
 __version__ = "0.1.0"
 
@@ -53,7 +53,6 @@ __all__ = [
     "Verdict",
     "VerdictKind",
     "canonical_key",
-    "canonical_keys",
     "choi_lam_tensor",
     "detect",
     "diagonal_check",

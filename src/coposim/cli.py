@@ -4,7 +4,8 @@ instance generation, and reproduction of the three benchmark tables.
 Exit codes: 0 copositive (or certified up to sigma), 1 not copositive,
 2 undecided (for ``spectral``: bounds still open when the iteration
 budget ran out), 64 usage error, 65 malformed input (a tensor shape with
-more than ``tensor.MAX_KEYS`` canonical keys included), 66 missing or
+more than ``tensor.MAX_KEYS`` canonical keys or of order above
+``tensor.MAX_ORDER`` included), 66 missing or
 unreadable input, 70 internal error, 73 ``--out`` cannot be written
 (``detect``, ``spectral``, ``prescreen`` and ``table`` have printed their
 output by then).

@@ -10,7 +10,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .tensor import SymmetricTensor, _key_table, corner_indices, integer, multiplicity, real
+from .tensor import (SymmetricTensor, _key_table, corner_indices, integer, json_record,
+                     multiplicity, real)
 
 __all__ = [
     "choi_lam_tensor",
@@ -116,21 +117,8 @@ def polynomial_from_json(obj: Mapping) -> SymmetricTensor:
     """Read the structured polynomial format, as parsed from JSON:
     ``{"order": m, "dim": n, "monomials": [{"exponents": [...], "coeff": c}]}``.
     """
-    try:
-        order = obj["order"]
-        dim = obj["dim"]
-        raw = obj["monomials"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed polynomial object: missing {exc}") from exc
-    if not isinstance(raw, list):
-        raise ValueError("'monomials' must be a list")
-    monomials = []
-    for item in raw:
-        try:
-            monomials.append((tuple(item["exponents"]), item["coeff"]))
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed monomial {item!r}") from exc
-    return from_polynomial(order, dim, monomials)
+    return from_polynomial(*json_record(obj, "polynomial", "monomials", "monomial", "exponents",
+                                        "coeff"))
 
 
 def motzkin_tensor() -> SymmetricTensor:

@@ -7,19 +7,18 @@ sign tolerance ``tau``, which must be finite and nonnegative.
 
 The battery, :func:`run_prescreen`, checks the diagonal entries, then
 samples the form on every edge ``(i, j)`` of the simplex, the two-index
-principal subtensors, at the interior points ``(k, d - k) / d``.  All
-pairs are sampled together, in blocks of about ``2**16`` terms, so memory
-stays bounded at any depth, and each sample is bit-identical to
-``A.form`` at the embedded point: its terms are formed as ``form`` forms
-them, keys off the edge add exact zeros there, and ``math.fsum`` is
-correctly rounded, so neither those zeros nor the order of the terms
-changes a sum.
+principal subtensors, at the interior points ``(k, d - k) / d``.  The
+samples of all pairs are numbered in one face-major sequence and scanned
+in blocks of at most ``2**16`` terms, so memory stays bounded at any depth
+and any dimension, and each sample is bit-identical to ``A.form`` at the
+embedded point: its terms are formed as ``form`` forms them, keys off the
+edge add exact zeros there, and ``math.fsum`` is correctly rounded, so
+neither those zeros nor the order of the terms changes a sum.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -60,26 +59,22 @@ class PrescreenReport:
     J: tuple[int, ...] | None = None
 
     def to_json_dict(self) -> dict:
-        if isinstance(self.witness, tuple):
-            witness = [[float(v) for v in w] for w in self.witness]
-        elif self.witness is None:
-            witness = None
-        else:
-            witness = [float(v) for v in self.witness]
         return {
             "passed": self.passed,
             "violated_condition": self.violated_condition,
-            "witness": witness,
+            "witness": None if self.witness is None else np.asarray(self.witness, float).tolist(),
             "J": None if self.J is None else list(self.J),
         }
 
 
-def _edge_lattice(d: int, size: int) -> Iterator[np.ndarray]:
-    """Interior lattice points ``(k, d - k) / d`` of an edge, ``k = 1..d-1``
-    in increasing order, as blocks of at most ``size`` rows."""
-    for start in range(1, d, size):
-        k = np.arange(start, min(start + size, d))
-        yield np.column_stack((k, d - k)) / d
+def _sample_blocks(faces: int, grid_depth: int, size: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """The samples ``s = 0 .. faces * g - 1`` of depth ``g``, face-major, in
+    blocks of at most ``size``: each block's faces ``s // g`` and its points
+    ``(k + 1, g - k) / (g + 1)``, ``k = s % g``, one row per sample."""
+    total = faces * grid_depth
+    for start in range(0, total, size):
+        face, k = np.divmod(np.arange(start, min(start + size, total)), grid_depth)
+        yield face, np.column_stack((k + 1, grid_depth - k)) / (grid_depth + 1)
 
 
 def _checked(tau: float, grid_depth=1) -> int:
@@ -104,25 +99,20 @@ def _face_ranks(order: int, dim: int) -> np.ndarray:
 
 def _sample_faces(A: SymmetricTensor, grid_depth: int, tau: float):
     """The first sample below ``-tau`` on the pair faces, in pair and then
-    lattice order, as a failed report, or ``None``.  A pair with a negative
-    sample drops the pairs after it."""
+    lattice order, as a failed report, or ``None``."""
     (columns, multiplicities), _ = _key_plan(A.order, 2)
     weights = multiplicities * A.coefficient_vector()[_face_ranks(A.order, A.dim)]
-    found = None
-    for points in _edge_lattice(grid_depth + 1, max(1, _BLOCK_TERMS // weights.size)):
+    size = max(1, _BLOCK_TERMS // len(multiplicities))
+    for face, points in _sample_blocks(len(weights), grid_depth, size):
         products = functools.reduce(np.multiply, (points[:, c] for c in columns))  # as ``form``
-        terms = (weights[:, None, :] * products).reshape(-1, products.shape[1])
-        hits = np.flatnonzero(np.fromiter(map(math.fsum, terms.tolist()), float, len(terms)) < -tau)
+        terms = (weights[face] * products).tolist()
+        hits = np.flatnonzero(np.fromiter(map(math.fsum, terms), float, len(terms)) < -tau)
         if hits.size:
-            face, point = divmod(int(hits[0]), len(points))
-            i, j = next(itertools.islice(itertools.combinations(range(1, A.dim + 1), 2), face, None))
+            pair = np.column_stack(np.triu_indices(A.dim, 1))[face[hits[0]]]  # as ``_face_ranks``
             witness = np.zeros(A.dim)
-            witness[[i - 1, j - 1]] = points[point]
-            found = PrescreenReport(False, SUBTENSOR_SAMPLE, witness, (i, j))
-            weights = weights[:face]
-            if not face:
-                break
-    return found
+            witness[pair] = points[hits[0]]
+            return PrescreenReport(False, SUBTENSOR_SAMPLE, witness, tuple((pair + 1).tolist()))
+    return None
 
 
 def diagonal_check(A: SymmetricTensor, tau: float = 1e-12) -> PrescreenReport:

@@ -13,7 +13,8 @@ Every per-shape plan (the form's and gradient's, the split tables, the
 corners, the prescreen's face ranks) derives in numpy from one key table
 per shape: its keys as an integer array, and a rank table that gives any
 sorted key its position as one sum.  A shape with more than ``MAX_KEYS``
-keys, or with multiplicities beyond the float range, is refused there.
+keys, of order above ``MAX_ORDER``, or with multiplicities beyond the float
+range, is refused there.
 
 The same ordering indexes a cell's Bernstein coefficients, those of the
 form in the barycentric coordinates of a simplex.  :func:`split_coefficients`
@@ -30,20 +31,24 @@ import math
 import numbers
 import sys
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
 __all__ = [
     "MAX_KEYS",
+    "MAX_ORDER",
     "SymmetricTensor",
     "canonical_key",
-    "canonical_keys",
     "multiplicity",
     "split_coefficients",
 ]
 
-MAX_KEYS = 2**20  # canonical keys of the largest shape: 8 MiB of coefficients
+# Canonical keys of the largest shape: 8 MiB per coefficient vector.  The
+# split tables cached beside them hold up to order + 2 gather entries per key
+# for each of up to 256 split edges, so at large dim they can take far more.
+MAX_KEYS = 2**20
+MAX_ORDER = 2**12  # largest order; every per-shape plan takes O(order) Python-level steps
 
 
 def integer(value, what: str = "index") -> int:
@@ -70,11 +75,6 @@ def canonical_key(idx: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(key))
 
 
-def canonical_keys(order: int, dim: int) -> Iterator[tuple[int, ...]]:
-    """All canonical multi-indices of the given shape, in lexicographic order."""
-    return itertools.combinations_with_replacement(range(1, dim + 1), order)
-
-
 def multiplicity(key: tuple[int, ...]) -> int:
     """Number of distinct permutations of a sorted multi-index."""
     count = math.factorial(len(key))
@@ -84,15 +84,17 @@ def multiplicity(key: tuple[int, ...]) -> int:
 
 
 def _multiplicities(keys: np.ndarray) -> np.ndarray:
-    """``multiplicity`` of every sorted key (row of ``keys``) as a float: the
-    positions of a key's entries within their runs of equal indices multiply
-    to ``c_1! ... c_n!``, exact in int64 up to order 20 (``20!`` fits) and in Python ints above."""
-    m = keys.shape[1]
-    positions = np.ones(keys.shape, dtype=np.int64)
-    for j in range(1, m):
-        positions[:, j] += (keys[:, j] == keys[:, j - 1]) * positions[:, j - 1]
-    counts = positions if m <= 20 else positions.astype(object)
-    return (math.factorial(m) // np.prod(counts, axis=1)).astype(float)
+    """``multiplicity`` of every sorted key (row of ``keys``) as a float, built
+    slot by slot in Python ints: the distinct permutations of a key's first
+    ``j + 1`` entries number those of its first ``j`` times ``(j + 1) / run``,
+    ``run`` the length of the run of equal indices that ends at slot ``j``;
+    each such number is an integer, so every division is exact."""
+    counts = np.ones(len(keys), dtype=object)
+    run = np.ones(len(keys), dtype=np.int64)
+    for j in range(1, keys.shape[1]):
+        run = np.where(keys[:, j] == keys[:, j - 1], run + 1, 1)
+        counts = counts * (j + 1) // run
+    return counts.astype(float)
 
 
 def real(value, what: str = "value") -> float:
@@ -114,6 +116,28 @@ def nonnegative(value, what: str = "value") -> float:
     return value
 
 
+def json_record(obj: Mapping, kind: str, items: str, item: str, key: str, value: str
+                ) -> tuple[object, object, list[tuple[tuple, object]]]:
+    """``order``, ``dim`` and the ``(tuple(entry[key]), entry[value])`` pairs
+    of the list ``obj[items]`` of a record as parsed from JSON, its fields
+    unchecked; a missing field, a non-list, or an entry that is not a mapping
+    holding both fields, with an iterable ``key``, raises ``ValueError``
+    naming the ``kind`` of record or the ``item``."""
+    try:
+        order, dim, entries = obj["order"], obj["dim"], obj[items]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed {kind} object: missing {exc}") from exc
+    if not isinstance(entries, list):
+        raise ValueError(f"'{items}' must be a list")
+    pairs = []
+    for entry in entries:
+        try:
+            pairs.append((tuple(entry[key]), entry[value]))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed {item} {entry!r}") from exc
+    return order, dim, pairs
+
+
 @functools.lru_cache(maxsize=64)
 def _key_table(order: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only key table of a shape ``(m, n)``: the canonical keys as
@@ -121,14 +145,18 @@ def _key_table(order: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     table ``R[j, v] = C(n+m-2-j, m-j) - C(n+m-2-j-v, m-j)`` (the combinatorial
     number system for multisets; no entry exceeds K), so that a key's
     position is ``sum_j R[j, key[j]]``.  An empty shape, one above
-    ``MAX_KEYS`` (a key of order ``m > 16`` counting ``m / 16`` times), or one
-    whose multiplicities leave the float range raises ``ValueError`` first."""
+    ``MAX_KEYS`` (a key of order ``m > 16`` counting ``m / 16`` times), one
+    of order above ``MAX_ORDER`` (only dimension 1 passes ``MAX_KEYS`` there),
+    or one whose multiplicities leave the float range raises ``ValueError`` first."""
     if order < 1 or dim < 1:
         raise ValueError(f"order and dim must be positive integers, got {order} and {dim}")
     if min(order, dim - 1) >= MAX_KEYS.bit_length() or max(order, 16) * (  # K >= 2**min(m, n - 1)
             count := math.comb(dim + order - 1, order)) > 16 * MAX_KEYS:
         raise ValueError(f"shape (order {order}, dim {dim}) has too many canonical keys: "
                          f"the limit is MAX_KEYS = {MAX_KEYS}")
+    if order > MAX_ORDER:
+        raise ValueError(f"shape (order {order}, dim {dim}) is beyond the order limit "
+                         f"MAX_ORDER = {MAX_ORDER}")
     q, r = divmod(order, dim)  # the most permuted key: r indices q + 1 times, the rest q times
     largest = math.prod(math.comb(order - t * q - min(t, r), q + (t < r))
                         for t in range(min(order, dim)))
@@ -190,8 +218,8 @@ class SymmetricTensor:
         on the simplex is bounded by it.
 
     :attr:`entries` lists the nonzero coefficients.  Shapes above
-    :data:`MAX_KEYS` keys, or whose multiplicities leave the float range,
-    raise ``ValueError``.
+    :data:`MAX_KEYS` keys or :data:`MAX_ORDER`, or whose multiplicities leave
+    the float range, raise ``ValueError``.
     """
 
     __slots__ = ("_order", "_dim", "_values", "_terms", "_gradient")
@@ -393,21 +421,7 @@ class SymmetricTensor:
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "SymmetricTensor":
-        try:
-            order = obj["order"]
-            dim = obj["dim"]
-            raw = obj["entries"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed tensor object: missing {exc}") from exc
-        if not isinstance(raw, list):
-            raise ValueError("'entries' must be a list")
-        pairs = []
-        for item in raw:
-            try:
-                pairs.append((item["idx"], item["val"]))
-            except (KeyError, TypeError) as exc:
-                raise ValueError(f"malformed entry {item!r}") from exc
-        return cls(order, dim, pairs)
+        return cls(*json_record(obj, "tensor", "entries", "entry", "idx", "val"))
 
 
 @functools.lru_cache(maxsize=256)

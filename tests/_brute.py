@@ -16,13 +16,18 @@ from coposim import (
     SymmetricTensor,
     Verdict,
     VerdictKind,
-    canonical_keys,
     diagonal_check,
     multiplicity,
 )
 from coposim import detector
 from coposim.prescreen import DIAGONAL, SUBTENSOR_SAMPLE, PrescreenReport
 from coposim.tensor import corner_indices, split_coefficients
+
+
+def canonical_keys(order: int, dim: int):
+    """All sorted multi-indices over ``1..dim`` of length ``order``, in
+    lexicographic order, enumerated apart from the library's key table."""
+    return itertools.combinations_with_replacement(range(1, dim + 1), order)
 
 
 def dense_of(A: SymmetricTensor) -> np.ndarray:

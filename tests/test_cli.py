@@ -259,9 +259,23 @@ def test_usage_errors(capsys, tmp_path):
     assert code == EXIT_DATA
 
     malformed = tmp_path / "malformed.json"
-    malformed.write_text(json.dumps({"order": 2, "dim": 2, "entries": [{"idx": [1, 1]}]}))
-    code, _, _ = run(capsys, "detect", str(malformed))
-    assert code == EXIT_DATA
+    # Both record kinds go through one reader; an index or exponent list
+    # that is not iterable is malformed input, not an internal error.
+    for obj, message in (
+        ({"order": 2, "dim": 2, "entries": [{"idx": [1, 1]}]}, "malformed entry"),
+        ({"order": 2, "dim": 2, "entries": [{"idx": 5, "val": 1.0}]}, "malformed entry"),
+        ({"order": 2, "dim": 2, "entries": [5]}, "malformed entry 5"),
+        ({"order": 2, "entries": []}, "malformed tensor object: missing 'dim'"),
+        ({"order": 2, "dim": 2, "entries": {}}, "'entries' must be a list"),
+        ({"order": 2, "dim": 2, "monomials": [{"exponents": 5, "coeff": 1.0}]},
+         "malformed monomial"),
+        ({"order": 2, "dim": 2, "monomials": [{"coeff": 1.0}]}, "malformed monomial"),
+        ({"dim": 2, "monomials": []}, "malformed polynomial object: missing 'order'"),
+        ({"order": 2, "dim": 2, "monomials": 3}, "'monomials' must be a list"),
+    ):
+        malformed.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "detect", str(malformed))
+        assert code == EXIT_DATA and out == "" and message in err, obj
 
     # entry values and coefficients are numbers, not strings or bools
     for val in ("2", True, None, 10**400):
@@ -375,6 +389,12 @@ def test_shapes_beyond_the_float_multiplicities_are_malformed_input(capsys):
     code, out, err = run(capsys, "gen", "--gen", "identity", "--m", "1100", "--n", "2")
     assert code == EXIT_DATA
     assert out == "" and "shape (order 1100, dim 2)" in err and "beyond the float range" in err
+
+
+def test_orders_above_the_order_bound_are_malformed_input(capsys):
+    code, out, err = run(capsys, "gen", "--gen", "identity", "--m", "1000000", "--n", "1")
+    assert code == EXIT_DATA
+    assert out == "" and "shape (order 1000000, dim 1)" in err and "MAX_ORDER" in err
 
 
 def test_spectral_rejects_negative_tensor(capsys):

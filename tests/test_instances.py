@@ -7,7 +7,6 @@ import pytest
 from coposim import (
     SymmetricTensor,
     VerdictKind,
-    canonical_keys,
     choi_lam_tensor,
     detect,
     eta_shift,
@@ -27,6 +26,7 @@ from _brute import (
     ZeroingGenerator,
     assert_constructed,
     barycentric_lattice,
+    canonical_keys,
     random_symmetric,
     random_tensor_loop,
 )

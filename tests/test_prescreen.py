@@ -9,7 +9,6 @@ from coposim import (
     DetectorConfig,
     SymmetricTensor,
     VerdictKind,
-    canonical_keys,
     detect,
     diagonal_check,
     eta_shift,
@@ -25,10 +24,11 @@ from coposim import (
     zero_point_gradient_check,
 )
 from coposim import prescreen
-from coposim.prescreen import DIAGONAL, SUBTENSOR_SAMPLE, ZERO_POINT_GRADIENT, _edge_lattice
+from coposim.prescreen import DIAGONAL, SUBTENSOR_SAMPLE, ZERO_POINT_GRADIENT, _sample_blocks
 
 from _brute import (
     barycentric_lattice,
+    canonical_keys,
     cut_lattice,
     interior_lattice,
     pointwise_prescreen,
@@ -44,8 +44,8 @@ SLOPED = SymmetricTensor(3, 2, {(1, 1, 2): -0.1, (1, 2, 2): 1.0, (2, 2, 2): 1.0}
 def test_barycentric_lattice():
     closed = list(barycentric_lattice(2, 2))
     assert sorted(tuple(p) for p in closed) == [(0.0, 1.0), (0.5, 0.5), (1.0, 0.0)]
-    assert [block.tolist() for block in _edge_lattice(2, 4)] == [[[0.5, 0.5]]]
-    assert list(_edge_lattice(1, 4)) == []
+    assert [(f.tolist(), x.tolist()) for f, x in _sample_blocks(1, 1, 4)] == [([0], [[0.5, 0.5]])]
+    assert list(_sample_blocks(1, 0, 4)) == list(_sample_blocks(0, 3, 4)) == []
     assert len(list(barycentric_lattice(3, 20))) == 231
     # The cut generator yields the oracle's interior points, in the same
     # (lexicographic) order and bit for bit.
@@ -55,20 +55,34 @@ def test_barycentric_lattice():
             assert cuts == [tuple(x) for x in interior_lattice(dim, d)], (dim, d)
 
 
+def _flat_samples(faces, depth, size):
+    """Faces and points of every block of the flat scan, concatenated,
+    after checking that every block but the last is full."""
+    blocks = list(_sample_blocks(faces, depth, size))
+    assert all(len(f) == len(x) == size for f, x in blocks[:-1]), (faces, depth, size)
+    if not blocks:
+        return np.empty(0, np.intp), np.empty((0, 2))
+    return np.concatenate([f for f, _ in blocks]), np.concatenate([x for _, x in blocks])
+
+
 def test_lattice_blocks_match_the_cut_generator():
-    # The library builds each block of edge points in numpy; in blocks of
-    # any size the points are the cut generator's, in its order, bit for
-    # bit, and every block but the last is full.
-    for d in (1, 2, 3, 5, 9, 14):
-        expected = np.array(list(cut_lattice(2, d))).reshape(-1, 2)
-        for size in (1, 2, 3, 7, 64, 10**6):
-            blocks = list(_edge_lattice(d, size))
-            assert all(len(block) == size for block in blocks[:-1]), (d, size)
-            points = np.concatenate(blocks) if blocks else np.empty((0, 2))
-            assert points.shape == expected.shape, (d, size)
-            assert np.array_equal(points.view(np.int64), expected.view(np.int64))
-    deep = np.concatenate(list(_edge_lattice(20001, 1092)))
-    assert np.array_equal(deep.view(np.int64), np.array(list(cut_lattice(2, 20001))).view(np.int64))
+    # The library builds each block of face samples in numpy; in blocks of
+    # any size the samples run face by face, each face's points the cut
+    # generator's, in its order, bit for bit, and every block but the last
+    # is full.
+    for depth in (0, 1, 2, 4, 8, 13):
+        lattice = np.array(list(cut_lattice(2, depth + 1))).reshape(-1, 2)
+        for faces in (1, 3, 10):
+            for size in (1, 2, 3, 7, 64, 10**6):
+                face, points = _flat_samples(faces, depth, size)
+                assert face.tolist() == np.repeat(np.arange(faces), depth).tolist()
+                expected = np.tile(lattice, (faces, 1))
+                assert points.shape == expected.shape, (faces, depth, size)
+                assert np.array_equal(points.view(np.int64), expected.view(np.int64))
+    face, deep = _flat_samples(3, 20000, 1092)
+    assert face.tolist() == [0] * 20000 + [1] * 20000 + [2] * 20000
+    lattice = np.array(list(cut_lattice(2, 20001)))
+    assert np.array_equal(deep.view(np.int64), np.tile(lattice, (3, 1)).view(np.int64))
 
 
 def test_diagonal_check():

@@ -17,6 +17,50 @@ from coposim import (
 )
 
 
+# spectral_radius(random_tensor(m, n, seed)).rho.hex() for Table 2's shapes
+# and seeds 0-9.  Table 2's eta = rho +- delta, and so the golden sweep,
+# inherit these bits, which depend on numpy's ``power``: a platform or
+# libm change shows here first, named at its cause.
+TABLE2_RHO_BITS = {
+    (3, 3): (
+        "0x1.07815030be99fp+2", "0x1.fe44eaac809f7p+1", "0x1.6f6db29fd220ep+2",
+        "0x1.19079b77ad0f4p+2", "0x1.2090df78b8498p+2", "0x1.25b2128e847aep+2",
+        "0x1.d01649b6483eep+0", "0x1.a69047be351aap+1", "0x1.2ec698e620d82p+2",
+        "0x1.9ac92ad2c3c23p+2",
+    ),
+    (3, 4): (
+        "0x1.0314d6b8f3f1bp+3", "0x1.df0775605ddd5p+2", "0x1.22b5980f8752fp+3",
+        "0x1.f5772da783016p+2", "0x1.ed5f54c5dce4bp+2", "0x1.26512e306c1fcp+3",
+        "0x1.8bca9b4573516p+2", "0x1.f81d357015b41p+2", "0x1.fbc5d3241f1e4p+2",
+        "0x1.45551ab6f7910p+3",
+    ),
+    (4, 3): (
+        "0x1.a2a6b87db8bc1p+3", "0x1.94b80fc3fde2ep+3", "0x1.0e0a27597fdd7p+4",
+        "0x1.9c5609d944f96p+3", "0x1.9649bea4521fap+3", "0x1.bb46b1479f52dp+3",
+        "0x1.07d74dc961461p+3", "0x1.61070397200e2p+3", "0x1.9be27e0698ed4p+3",
+        "0x1.28878502f902bp+4",
+    ),
+    (4, 4): (
+        "0x1.1959cdc45aa6ep+5", "0x1.b8e0066ce4676p+4", "0x1.e7bf95a4a0ccbp+4",
+        "0x1.0dbbb73286c8dp+5", "0x1.082d8d5860b50p+5", "0x1.0e68a42f374e8p+5",
+        "0x1.bc160ac9ecadcp+4", "0x1.0212519f8c740p+5", "0x1.fb5c3c4f7c06cp+4",
+        "0x1.12057e414efacp+5",
+    ),
+    (6, 3): (
+        "0x1.df19dede787e6p+6", "0x1.04451d37306e6p+7", "0x1.f233c53ccc197p+6",
+        "0x1.e8f700be20f04p+6", "0x1.c1821b8edee38p+6", "0x1.07b7896ee6dbdp+7",
+        "0x1.cee6909f359c4p+6", "0x1.cd92eb58d4a42p+6", "0x1.a30b3eec6e932p+6",
+        "0x1.17d92e38e4f3ep+7",
+    ),
+}
+
+
+def test_table2_radii_keep_their_bits():
+    for (m, n), bits in TABLE2_RHO_BITS.items():
+        got = [spectral_radius(random_tensor(m, n, seed)).rho.hex() for seed in range(10)]
+        assert got == list(bits), (m, n)
+
+
 def test_known_spectral_radii():
     assert spectral_radius(ones_tensor(3, 3)).rho == pytest.approx(9.0, abs=1e-6)
     assert spectral_radius(ones_tensor(4, 4)).rho == pytest.approx(64.0, abs=1e-6)

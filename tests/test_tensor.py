@@ -14,7 +14,6 @@ import coposim
 from coposim import (
     SymmetricTensor,
     VerdictKind,
-    canonical_keys,
     detect,
     eta_shift,
     from_polynomial,
@@ -28,6 +27,7 @@ from coposim import (
 from coposim.prescreen import _face_ranks
 from coposim.tensor import (
     MAX_KEYS,
+    MAX_ORDER,
     _key_plan,
     _key_table,
     _multiplicities,
@@ -46,6 +46,7 @@ from _brute import (
     brute_inner,
     brute_mixed,
     brute_multilinear,
+    canonical_keys,
     close,
     congruence,
     dense_loop,
@@ -71,7 +72,6 @@ def test_public_surface():
         "Verdict",
         "VerdictKind",
         "canonical_key",
-        "canonical_keys",
         "choi_lam_tensor",
         "detect",
         "diagonal_check",
@@ -136,7 +136,10 @@ def test_entry_validation():
 
 
 def test_vectorized_multiplicities_are_exact():
-    shapes = [(m, n) for m in range(1, 9) for n in range(1, 7)] + [(23, 3), (40, 2)]
+    # Past order 20 the counts can leave int64, and past 2**53 the integers
+    # a float holds exactly; each slot's division must stay exact anyway.
+    shapes = [(m, n) for m in range(1, 9) for n in range(1, 7)]
+    shapes += [(23, 3), (40, 2), (60, 3), (30, 4), (300, 2), (1000, 2), (4096, 1)]
     for m, n in shapes:
         keys = list(canonical_keys(m, n))
         got = _multiplicities(np.array(keys) - 1)
@@ -665,6 +668,18 @@ def test_shapes_whose_multiplicities_leave_the_float_range_are_refused():
         assert time.perf_counter() - start < 0.1
     # C(1000, 500) is about 2.7e299, a float.
     assert identity_tensor(1000, 2).form([0.5, 0.5]) == 2 * 0.5**1000
+
+
+def test_orders_above_the_order_bound_are_refused():
+    # Only dimension 1 passes MAX_KEYS at such orders; there every per-shape
+    # plan takes O(order) Python-level steps, so the shape is refused at once.
+    for make in (lambda: identity_tensor(10**6, 1), lambda: SymmetricTensor(MAX_ORDER + 1, 1)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"shape \(order \d+, dim 1\).*MAX_ORDER = 4096"):
+            make()
+        assert time.perf_counter() - start < 0.1
+    A = identity_tensor(MAX_ORDER, 1)
+    assert A.form([1.0]) == 1.0 and spectral_radius(A).rho == 1.0
 
 
 def test_dense_of_matches_the_per_position_fill():
