@@ -40,7 +40,7 @@ from .spectral import (
     PowerIterationResult,
     spectral_radius,
 )
-from .tensor import SymmetricTensor, canonical_key, multiplicity
+from .tensor import SymmetricTensor, multiplicity
 
 __version__ = "0.1.0"
 
@@ -52,7 +52,6 @@ __all__ = [
     "SymmetricTensor",
     "Verdict",
     "VerdictKind",
-    "canonical_key",
     "choi_lam_tensor",
     "detect",
     "diagonal_check",

@@ -129,8 +129,7 @@ class DetectorConfig:
     keep_certificates: bool = False
 
     def __post_init__(self):
-        if integer(self.max_iterations, "max_iterations") < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        integer(self.max_iterations, "max_iterations", 1)
         for name in ("tolerance", "sigma", "min_diameter"):
             nonnegative(getattr(self, name), name)
         if not isinstance(self.keep_certificates, bool):
@@ -319,9 +318,7 @@ def verify_witness(A: SymmetricTensor, x, tau: float = 1e-12) -> bool:
     with unit coordinate sum (within ``tau``) and form value below
     ``-tau``.  ``tau`` must be a finite nonnegative real number."""
     tau = nonnegative(tau, "tau")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (A.dim,):
-        raise ValueError(f"witness shape {x.shape} does not match dim {A.dim}")
+    x = A._check_vector(x)
     if np.min(x) < -tau:
         return False
     if abs(float(x.sum()) - 1.0) > tau:

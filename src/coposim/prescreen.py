@@ -25,8 +25,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .tensor import (SymmetricTensor, _key_plan, _key_table, _rank, corner_indices, integer,
-                     nonnegative)
+from .tensor import SymmetricTensor, _key_plan, _key_table, corner_indices, integer, nonnegative
 
 __all__ = [
     "DIAGONAL",
@@ -77,22 +76,17 @@ def _sample_blocks(faces: int, grid_depth: int, size: int) -> Iterator[tuple[np.
         yield face, np.column_stack((k + 1, grid_depth - k)) / (grid_depth + 1)
 
 
-def _checked(tau: float, grid_depth=1) -> int:
-    """Check ``tau``, then return ``grid_depth`` as a positive ``int``."""
-    nonnegative(tau, "tau")
-    grid_depth = integer(grid_depth, "grid_depth")
-    if grid_depth < 1:
-        raise ValueError(f"grid_depth must be >= 1, got {grid_depth}")
-    return grid_depth
-
-
 @functools.lru_cache(maxsize=64)
 def _face_ranks(order: int, dim: int) -> np.ndarray:
     """Read-only positions among the canonical keys of shape ``(order, dim)``
     of the keys on each pair face ``(i, j)``, one row per pair, in
     lexicographic pair order."""
-    pairs = np.column_stack(np.triu_indices(dim, 1))
-    ranks = _rank(order, dim, pairs[:, _key_table(order, 2)[0]])
+    prefix = np.zeros((order + 1, dim), np.intp)  # row k: the first k rows of the rank table summed
+    np.cumsum(_key_table(order, dim)[1], axis=0, out=prefix[1:])
+    heads = prefix[::-1].T  # face key r is order - r copies of i, then r copies of j
+    i, j = np.triu_indices(dim, 1)
+    ranks = heads[i]
+    ranks += (prefix[order][:, None] - heads)[j]
     ranks.setflags(write=False)
     return ranks
 
@@ -118,7 +112,7 @@ def _sample_faces(A: SymmetricTensor, grid_depth: int, tau: float):
 def diagonal_check(A: SymmetricTensor, tau: float = 1e-12) -> PrescreenReport:
     """A negative diagonal entry refutes copositivity outright (the form
     value at the corresponding unit vector is that entry)."""
-    _checked(tau)
+    nonnegative(tau, "tau")
     for i, value in enumerate(A.coefficient_vector().take(corner_indices(A.order, A.dim)).tolist()):
         if value < -tau:
             witness = np.zeros(A.dim)
@@ -138,10 +132,8 @@ def zero_point_gradient_check(
     coordinate sum; the check only applies when the form vanishes there
     (within ``tau``), and raises otherwise.
     """
-    _checked(tau)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (A.dim,):
-        raise ValueError(f"point shape {x.shape} does not match dim {A.dim}")
+    nonnegative(tau, "tau")
+    x = A._check_vector(x)
     if not np.isfinite(x).all():
         raise ValueError("point must be finite")
     if np.min(x) < -tau:
@@ -175,7 +167,8 @@ def run_prescreen(A: SymmetricTensor, grid_depth: int = 2, tau: float = 1e-12) -
     Singletons are not sampled: the only sample of a one-index subtensor is
     its diagonal entry, which the diagonal check has already passed.
     """
-    grid_depth = _checked(tau, grid_depth)
+    nonnegative(tau, "tau")
+    grid_depth = integer(grid_depth, "grid_depth", 1)
     report = diagonal_check(A, tau)
     if report.passed and A.dim > 1:
         return _sample_faces(A, grid_depth, tau) or report

@@ -70,9 +70,7 @@ def spectral_radius(
     tol = real(tol, "tol")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    max_iter = integer(max_iter, "max_iter")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    max_iter = integer(max_iter, "max_iter", 1)
     if B.order < 2:
         raise ValueError("power iteration needs order >= 2")
     if B.coefficient_vector().min() < 0.0:

@@ -3,7 +3,9 @@ form evaluations everything else builds on.
 
 An order-``m``, dimension-``n`` symmetric tensor stores one float per sorted
 multi-index ``(i_1 <= ... <= i_m)`` over ``1..n``, zeros included, as a
-read-only vector in lexicographic key order.  Every sum over the dense
+read-only vector in lexicographic key order.  Multi-indices from outside,
+a whole tensor's entries or one ``__getitem__`` key, go through one check
+that sorts, validates and ranks them all in one array pass.  Every sum over the dense
 index space runs over these keys weighted by the multiplicity
 ``m! / (c_1! ... c_n!)``, ``c_i`` counting index ``i`` in the key; sums
 that feed sign decisions use ``math.fsum``, so accumulation error cannot
@@ -39,7 +41,6 @@ __all__ = [
     "MAX_KEYS",
     "MAX_ORDER",
     "SymmetricTensor",
-    "canonical_key",
     "multiplicity",
     "split_coefficients",
 ]
@@ -51,28 +52,21 @@ MAX_KEYS = 2**20
 MAX_ORDER = 2**12  # largest order; every per-shape plan takes O(order) Python-level steps
 
 
-def integer(value, what: str = "index") -> int:
+def integer(value, what: str = "index", minimum: int | None = None) -> int:
     """``value`` as an ``int``: Python and numpy integers, and floats with
     no fractional part, are accepted; bools, strings, fractional floats and
-    anything else raise ``ValueError``."""
-    if type(value) is int:
-        return value
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    raise ValueError(f"{what} must be an integer, got {value!r}")
-
-
-def canonical_key(idx: Iterable[int]) -> tuple[int, ...]:
-    """Sort a multi-index into its canonical (nondecreasing) form; every
-    index must pass :func:`integer`."""
-    key = tuple(idx)
-    for i in key:
-        if type(i) is not int:  # plain ints, the common case, need no check
-            key = tuple(map(integer, key))
-            break
-    return tuple(sorted(key))
+    anything else raise ``ValueError``, and so does an integer below
+    ``minimum`` when one is given."""
+    if type(value) is not int:
+        if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+            value = int(value)
+        elif isinstance(value, (float, np.floating)) and float(value).is_integer():
+            value = int(value)
+        else:
+            raise ValueError(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{what} must be >= {minimum}, got {value}")
+    return value
 
 
 def multiplicity(key: tuple[int, ...]) -> int:
@@ -178,6 +172,35 @@ def _rank(order: int, dim: int, keys: np.ndarray) -> np.ndarray:
     return _key_table(order, dim)[1].take(keys + np.arange(0, order * dim, dim)).sum(axis=-1)
 
 
+def _positions(order: int, dim: int, keys: Iterable) -> np.ndarray:
+    """Positions of the multi-indices ``keys``, each in any order, among the
+    canonical keys of a valid shape, all checked and ranked in one pass.  A
+    non-integer index (by :func:`integer`), then the first key in input order
+    of the wrong length, out of range, or the same sorted as an earlier
+    key, raises ``ValueError`` naming that key sorted."""
+    keys = [tuple(key) for key in keys]
+    flat = list(itertools.chain.from_iterable(keys))
+    if not set(map(type, flat)) <= {int}:  # plain ints, the common case, need no check
+        flat = list(map(integer, flat))
+    # Range-check the Python ints first: an index beyond intp must fail as out of range.
+    if set(map(len, keys)) <= {order} and (not flat or 1 <= min(flat) and max(flat) <= dim):
+        rows = np.array(flat, np.intp).reshape(-1, order) - 1
+        rows.sort(axis=1)
+        positions = _rank(order, dim, rows)
+        if len(set(positions.tolist())) == len(keys):
+            return positions
+    seen = set()  # some key is at fault: name the first
+    for key in keys:
+        key = tuple(sorted(map(integer, key)))
+        if len(key) != order:
+            raise ValueError(f"multi-index {key} has length {len(key)}, expected {order}")
+        if key[0] < 1 or key[-1] > dim:
+            raise ValueError(f"multi-index {key} out of range 1..{dim}")
+        if key in seen:
+            raise ValueError(f"duplicate canonical key {key}")
+        seen.add(key)
+
+
 @functools.lru_cache(maxsize=64)
 def _key_plan(order: int, dim: int) -> tuple[tuple, tuple]:
     """Read-only arrays derived from the key table of a shape.  The form's:
@@ -227,18 +250,13 @@ class SymmetricTensor:
     def __init__(self, order, dim, entries=None):
         order, dim = integer(order, "order"), integer(dim, "dim")
         vector = np.zeros(len(_key_table(order, dim)[0]))
-        canonical = {}
-        for idx, value in entries.items() if isinstance(entries, Mapping) else entries or ():
-            key = canonical_key(idx)
-            self._check_key_static(key, order, dim)
-            if key in canonical:
-                raise ValueError(f"duplicate canonical key {key}")
-            canonical[key] = value
-        values = list(canonical.values())
+        pairs = list(entries.items() if isinstance(entries, Mapping) else entries or ())
+        positions = _positions(order, dim, [key for key, _ in pairs])
+        values = [value for _, value in pairs]
         if not set(map(type, values)) <= {float}:
-            values = [real(value, f"entry {key}") for key, value in canonical.items()]
-        keys = np.fromiter(itertools.chain.from_iterable(canonical), np.intp, order * len(values))
-        vector[_rank(order, dim, keys.reshape(-1, order) - 1)] = values
+            keys = (_key_table(order, dim)[0][positions] + 1).tolist()
+            values = [real(value, f"entry {tuple(key)}") for key, value in zip(keys, values)]
+        vector[positions] = values
         self._set(order, dim, vector)
 
     @classmethod
@@ -268,13 +286,6 @@ class SymmetricTensor:
         self._terms = self._gradient = None
         return self
 
-    @staticmethod
-    def _check_key_static(key: tuple[int, ...], order: int, dim: int) -> None:
-        if len(key) != order:
-            raise ValueError(f"multi-index {key} has length {len(key)}, expected {order}")
-        if key and (key[0] < 1 or key[-1] > dim):
-            raise ValueError(f"multi-index {key} out of range 1..{dim}")
-
     @property
     def order(self) -> int:
         return self._order
@@ -296,9 +307,7 @@ class SymmetricTensor:
 
     def __getitem__(self, idx) -> float:
         """Coefficient at a multi-index given in any order."""
-        key = canonical_key(idx)
-        self._check_key_static(key, self._order, self._dim)
-        return self._values.item(_rank(self._order, self._dim, np.array(key) - 1))
+        return self._values.item(_positions(self._order, self._dim, [idx])[0])
 
     def __repr__(self) -> str:
         return f"SymmetricTensor(order={self._order}, dim={self._dim}, nnz={self.nnz})"

@@ -429,6 +429,17 @@ def assert_constructed(result: SymmetricTensor, pairs) -> None:
     assert all(type(value) is float for value in result.entries.values())
 
 
+def coefficients_loop(order: int, dim: int, pairs) -> np.ndarray:
+    """The coefficient vector the constructor must build from ``(multi-index,
+    value)`` pairs: each multi-index sorted as Python ints and looked up in
+    its own dict over the enumerated canonical keys, a -0.0 stored as +0.0."""
+    index = {key: t for t, key in enumerate(canonical_keys(order, dim))}
+    vector = np.zeros(len(index))
+    for idx, value in pairs:
+        vector[index[tuple(sorted(int(i) for i in idx))]] = float(value)
+    return vector + 0.0
+
+
 def random_tensor_loop(order: int, dim: int, rng) -> SymmetricTensor:
     """The stream ``random_tensor`` must reproduce, drawn one double per
     canonical key in lexicographic order, an exact zero redrawn at once."""

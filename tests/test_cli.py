@@ -464,6 +464,17 @@ def test_non_integral_indices_are_malformed_input(capsys, tmp_path, obj):
     assert out == "" and "must be an integer" in err
 
 
+def test_an_index_beyond_every_integer_type_is_out_of_range(capsys, tmp_path):
+    # Checked as a Python int before any array conversion, so it is
+    # malformed input rather than an internal overflow.
+    path = tmp_path / "far.json"
+    entries = [{"idx": [1, 10**30], "val": 1.0}]
+    path.write_text(json.dumps({"order": 2, "dim": 2, "entries": entries}))
+    code, out, err = run(capsys, "detect", str(path))
+    assert code == EXIT_DATA
+    assert out == "" and "out of range 1..2" in err and "internal error" not in err
+
+
 def test_unreadable_source_is_missing_input(capsys, tmp_path):
     code, out, err = run(capsys, "detect", str(tmp_path))
     assert code == EXIT_NOINPUT

@@ -584,3 +584,38 @@ def test_order_two_verdicts_agree_with_kaplans_criterion():
             assert (verdict.kind is VerdictKind.COPOSITIVE) == copositive, (M, margin)
         seen.add(copositive)
     assert seen == {True, False}
+
+
+def test_relabelled_indices_keep_the_verdict():
+    # A o pi, built through the constructor from permuted, unsorted keys
+    # handed in a shuffled order, is copositive exactly when A is.  Where
+    # both runs decide, the kinds must agree; every witness on A o pi must
+    # verify there.  An undecided run is allowed but counted: at this budget
+    # none of the 46 relabelled runs ends undecided.
+    rng = np.random.default_rng(73)
+    cases = []
+    for m, n in ((3, 3), (4, 3), (3, 4), (6, 3), (4, 4)):
+        for seed in (0, 1):
+            B = random_tensor(m, n, seed)
+            rho = spectral_radius(B).rho
+            cases += [(eta_shift(rho + step, B), 0.0) for step in (-1.0, 1.0)]
+    cases += [(make(), 1e-3) for make in (motzkin_tensor, robinson_tensor, choi_lam_tensor)]
+    runs = undecided = 0
+    for A, sigma in cases:
+        cfg = DetectorConfig(max_iterations=5000, sigma=sigma)
+        base = detect(A, cfg).kind
+        for _ in range(2):
+            pi = rng.permutation(A.dim) + 1
+            pairs = [(rng.permutation([pi[i - 1] for i in key]).tolist(), value)
+                     for key, value in A.entries.items()]
+            shuffled = [pairs[t] for t in rng.permutation(len(pairs))]
+            relabelled = SymmetricTensor(A.order, A.dim, shuffled)
+            verdict = detect(relabelled, cfg)
+            runs += 1
+            if VerdictKind.UNDECIDED in (base, verdict.kind):
+                undecided += 1
+            else:
+                assert verdict.kind is base, (A, pi)
+            if verdict.witness is not None:
+                assert verify_witness(relabelled, verdict.witness, cfg.tolerance), (A, pi)
+    assert (runs, undecided) == (46, 0)

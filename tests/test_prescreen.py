@@ -360,6 +360,21 @@ def test_samples_at_the_tolerance_match_form_to_the_last_bit():
     assert kinds[SUBTENSOR_SAMPLE] >= 30 and kinds[None] >= 30, kinds
 
 
+def test_face_ranks_of_a_wide_shape_build_in_bounded_memory():
+    # The ranks come from prefix sums of the rank table, one (F, m + 1)
+    # array at a time; ranking the (F, m + 1, m) face keys peaked near 100 MiB.
+    prescreen._face_ranks.cache_clear()
+    tracemalloc.start()
+    try:
+        ranks = prescreen._face_ranks(2, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        prescreen._face_ranks.cache_clear()
+    assert ranks.shape == (1000 * 999 // 2, 3)
+    assert peak < 60 * 2**20, peak
+
+
 def test_deep_face_sampling_runs_in_bounded_memory():
     A = eta_shift(100.0, ones_tensor(3, 6))  # every pair sample passes
     run_prescreen(A)  # the shape's cached plans are built outside the trace

@@ -33,7 +33,6 @@ from coposim.tensor import (
     _multiplicities,
     _rank,
     _split_table,
-    canonical_key,
     corner_indices,
     split_coefficients,
 )
@@ -48,6 +47,7 @@ from _brute import (
     brute_multilinear,
     canonical_keys,
     close,
+    coefficients_loop,
     congruence,
     dense_loop,
     dense_of,
@@ -71,7 +71,6 @@ def test_public_surface():
         "SymmetricTensor",
         "Verdict",
         "VerdictKind",
-        "canonical_key",
         "choi_lam_tensor",
         "detect",
         "diagonal_check",
@@ -91,6 +90,27 @@ def test_public_surface():
         "zero_point_gradient_check",
     ]
     assert all(hasattr(coposim, name) for name in coposim.__all__)
+
+
+MODULE_SURFACES = {
+    "tensor": ["MAX_KEYS", "MAX_ORDER", "SymmetricTensor", "multiplicity", "split_coefficients"],
+    "detector": ["DetectorConfig", "Verdict", "VerdictKind", "detect", "verify_witness"],
+    "prescreen": ["DIAGONAL", "SUBTENSOR_SAMPLE", "ZERO_POINT_GRADIENT", "PrescreenReport",
+                  "diagonal_check", "run_prescreen", "zero_point_gradient_check"],
+    "instances": ["choi_lam_tensor", "eta_shift", "from_polynomial", "identity_tensor",
+                  "motzkin_tensor", "ones_tensor", "polynomial_from_json", "random_tensor",
+                  "random_tensor_negative_diagonal", "robinson_tensor"],
+    "spectral": ["PowerIterationBudgetError", "PowerIterationResult", "spectral_radius"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODULE_SURFACES))
+def test_module_surface(name):
+    """Each module's ``__all__`` as it stands, so an API change in any module
+    shows in the diff."""
+    module = getattr(coposim, name)
+    assert module.__all__ == MODULE_SURFACES[name]
+    assert all(hasattr(module, item) for item in module.__all__)
 
 
 def test_entry_access_examples():
@@ -148,18 +168,84 @@ def test_vectorized_multiplicities_are_exact():
 
 
 def test_indices_must_be_integers():
-    assert canonical_key((np.int64(3), 1, np.int32(2))) == (1, 2, 3)
-    assert canonical_key([2.0, 1]) == (1, 2)
-    assert all(type(i) is int for i in canonical_key((np.int64(3), 2.0)))
+    # numpy integers and integral floats are indices; the key they name is sorted
+    A = SymmetricTensor(3, 3, [((np.int64(3), 1, np.int32(2)), 1.0), ((np.int64(3), 2.0, 3), 2.0)])
+    assert list(A.entries.items()) == [((1, 2, 3), 1.0), ((2, 3, 3), 2.0)]
+    assert all(type(i) is int for key in A.entries for i in key)
+    assert A[(np.int64(3), 2.0, 1)] == 1.0 and A[[3.0, np.int32(3), 2]] == 2.0
+    assert list(SymmetricTensor(2, 2, [([2.0, 1], 1.5)]).entries.items()) == [((1, 2), 1.5)]
     for bad in ((1.5, 2), (True, 2), ("1", 2), (None, 1), (np.bool_(True), 1), (float("nan"), 1)):
-        with pytest.raises(ValueError):
-            canonical_key(bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="index must be an integer"):
             SymmetricTensor(2, 3, [(bad, 1.0)])
+        with pytest.raises(ValueError, match="index must be an integer"):
+            A[bad + (1,)]
     for order, dim in ((2.7, 3), (2, 3.5), (True, 3), (2, "3"), (None, 3)):
         with pytest.raises(ValueError):
             SymmetricTensor(order, dim)
     assert SymmetricTensor(np.int64(2), 3.0).dim == 3
+
+
+# One input with one fault, each given both to the constructor (as the
+# entries of a (2, 3) tensor) and to ``__getitem__``, and the message it gets.
+SINGLE_FAULTS = [
+    ((3, 2, 1), "multi-index (1, 2, 3) has length 3, expected 2"),
+    ((1, 0), "multi-index (0, 1) out of range 1..3"),
+    ((4, 1), "multi-index (1, 4) out of range 1..3"),
+    ((1, 10**30), "multi-index (1, 1000000000000000000000000000000) out of range 1..3"),
+    ((1.5, 2), "index must be an integer, got 1.5"),
+    ((2, True), "index must be an integer, got True"),
+    (("1", 2), "index must be an integer, got '1'"),
+]
+
+
+@pytest.mark.parametrize("idx, message", SINGLE_FAULTS)
+def test_single_fault_messages(idx, message):
+    with pytest.raises(ValueError) as raised:
+        SymmetricTensor(2, 3, [((1, 1), 1.0), (idx, 2.0), ((3, 3), 3.0)])
+    assert str(raised.value) == message
+    with pytest.raises(ValueError) as raised:
+        ones_tensor(2, 3)[idx]
+    assert str(raised.value) == message
+
+
+def test_single_fault_messages_of_whole_entries():
+    for entries, message in (
+        ([((1, 2), 1.0), ((3, 3), 2.0), ((2, 1), 3.0)], "duplicate canonical key (1, 2)"),
+        ({(1, 1): 1.0, (2, 1): "x"},
+         "entry (1, 2) must be a real number in the float range, got 'x'"),
+    ):
+        with pytest.raises(ValueError) as raised:
+            SymmetricTensor(2, 3, entries)
+        assert str(raised.value) == message
+    # Pairs unpack as pairs: a longer one is refused, not cut short.
+    with pytest.raises(ValueError, match="unpack"):
+        SymmetricTensor(2, 2, [((1, 1), 1.0, "junk"), ((1, 2), 2.0)])
+    for empty in (None, {}, [], iter(())):
+        assert SymmetricTensor(2, 2, empty) == SymmetricTensor(2, 2)
+
+
+# Shapes with one slot, one index, and up to 330 keys of order up to 6.
+INTAKE_SHAPES = ((1, 4), (4, 1), (2, 5), (3, 10), (4, 8), (6, 4))
+
+
+@pytest.mark.parametrize("m, n", INTAKE_SHAPES)
+def test_intake_matches_the_loop_oracle(m, n):
+    # Every key permuted, and given as a tuple, a list, an np.int64 array or
+    # integral floats; the entries as a Mapping and as a list of pairs.
+    rng = np.random.default_rng(71)
+    keys = [key for key in canonical_keys(m, n) if rng.random() < 0.7]
+    values = rng.uniform(-1.0, 1.0, size=len(keys)).tolist()
+    forms = (tuple, list, lambda key: np.array(key, np.int64), lambda key: [float(i) for i in key])
+    hashable = (tuple, lambda key: tuple(map(np.int64, key)), lambda key: tuple(map(float, key)))
+    scrambled = [rng.permutation(key).tolist() for key in keys]
+    pairs = [(forms[t % 4](key), value) for t, (key, value) in enumerate(zip(scrambled, values))]
+    mapping = {hashable[t % 3](key): value for t, (key, value) in enumerate(zip(scrambled, values))}
+    expected = coefficients_loop(m, n, zip(keys, values))
+    for entries in (pairs, pairs[::-1], mapping):
+        A = SymmetricTensor(m, n, entries)
+        assert A.coefficient_vector().tobytes() == expected.tobytes(), (m, n)
+    for t, key in enumerate(canonical_keys(m, n)):
+        assert A[forms[t % 4](rng.permutation(key).tolist())] == expected[t], (m, n, key)
 
 
 def test_constructor_validation():
