@@ -2,23 +2,17 @@
 
 Each prescreen can only disprove copositivity, never certify it, but a
 failure comes with a witness that is checkable on its own.  The battery
-is cheap: diagonal entries, then sampled faces.  Where a zero of the form
-is known, the sign of the contraction there is a further, standalone
-check.
+is cheap: diagonal entries, then sampled faces.
 """
-
-import numpy as np
 
 from coposim import (
     SymmetricTensor,
     diagonal_check,
     eta_shift,
-    motzkin_tensor,
     ones_tensor,
     random_tensor_negative_diagonal,
     run_prescreen,
     verify_witness,
-    zero_point_gradient_check,
 )
 
 # The form value at the i-th unit vector is the i-th diagonal entry, so a
@@ -37,24 +31,14 @@ report = run_prescreen(A, grid_depth=1)
 print("pair sample:", report.violated_condition, "on", report.J,
       "witness:", report.witness, "form there:", A.form(report.witness))
 
-# At a known zero of the form, the one-slot contraction must be entrywise
-# nonnegative for a copositive tensor.  The famous sextics pass (their
-# contraction vanishes at the uniform zero)...
-M = motzkin_tensor()
-print("motzkin zero-point check:", zero_point_gradient_check(M, np.ones(3)).passed)
-
-# ... while a tensor sloping down off its zero fails, with the (point,
-# direction) pair as the re-checkable witness.
+# A pass certifies nothing.  This tensor's form is zero at e1 and slopes
+# down into the simplex there, so it is not copositive, but every sample
+# of the battery comes out nonnegative.
 sloped = SymmetricTensor(3, 2, {(1, 1, 2): -0.1, (1, 2, 2): 1.0, (2, 2, 2): 1.0})
-report = zero_point_gradient_check(sloped, np.array([1.0, 0.0]))
-point, direction = report.witness
-print("sloped tensor:", "failed" if not report.passed else "passed",
-      "contraction at zero:", sloped.gradient_form(point))
+print("sloped tensor, just off its zero:", sloped.form([0.99, 0.01]))
 
 # The battery runs the diagonal check, then the pair faces, and stops at
-# the first hit.  It does not know the zero of the sloped tensor, and its
-# samples all come out nonnegative, so only the standalone check above
-# refutes that one.
+# the first hit.
 print("battery on the bad-diagonal tensor:", run_prescreen(B).violated_condition)
 print("battery on I - E:", run_prescreen(A).violated_condition)
 print("battery on the all-ones tensor:", run_prescreen(ones_tensor(3, 3)).passed)

@@ -33,7 +33,6 @@ from .prescreen import (
     PrescreenReport,
     diagonal_check,
     run_prescreen,
-    zero_point_gradient_check,
 )
 from .spectral import (
     PowerIterationBudgetError,
@@ -68,5 +67,4 @@ __all__ = [
     "run_prescreen",
     "spectral_radius",
     "verify_witness",
-    "zero_point_gradient_check",
 ]

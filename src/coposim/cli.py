@@ -23,8 +23,6 @@ import math
 import sys
 import time
 
-import numpy as np
-
 from . import instances
 from .detector import DetectorConfig, Verdict, VerdictKind, detect
 from .prescreen import run_prescreen
@@ -181,7 +179,7 @@ def cmd_detect(args) -> int:
                 max_depth=0,
                 sigma=args.sigma,
                 tolerance=args.tol,
-                witness=np.asarray(prescreen_report.witness, dtype=float),
+                witness=prescreen_report.witness,
             )
     if verdict is None:
         verdict = detect(A, cfg)

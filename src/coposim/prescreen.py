@@ -11,34 +11,31 @@ principal subtensors, at the interior points ``(k, d - k) / d``.  The
 samples of all pairs are numbered in one face-major sequence and scanned
 in blocks of at most ``2**16`` terms, so memory stays bounded at any depth
 and any dimension, and each sample is bit-identical to ``A.form`` at the
-embedded point: its terms are formed as ``form`` forms them, keys off the
-edge add exact zeros there, and ``math.fsum`` is correctly rounded, so
+embedded point: its monomials come from the product ``form`` calls, keys
+off the edge add exact zeros there, and ``math.fsum`` is correctly rounded, so
 neither those zeros nor the order of the terms changes a sum.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .tensor import SymmetricTensor, _key_plan, _key_table, corner_indices, integer, nonnegative
+from .tensor import (SymmetricTensor, _face_ranks, _key_plan, _monomials, corner_indices, integer,
+                     nonnegative)
 
 __all__ = [
     "DIAGONAL",
     "SUBTENSOR_SAMPLE",
-    "ZERO_POINT_GRADIENT",
     "PrescreenReport",
     "diagonal_check",
     "run_prescreen",
-    "zero_point_gradient_check",
 ]
 
 DIAGONAL = "Diagonal"
-ZERO_POINT_GRADIENT = "ZeroPointGradient"
 SUBTENSOR_SAMPLE = "SubtensorSample"
 _BLOCK_TERMS = 2**16  # face-sample terms evaluated at once
 
@@ -47,21 +44,20 @@ _BLOCK_TERMS = 2**16  # face-sample terms evaluated at once
 class PrescreenReport:
     """Outcome of one refuter (or of the whole battery).
 
-    A failed report names the violated condition and carries the witness:
-    a point of the standard simplex, or for the zero-point gradient check
-    the zero together with the unit direction in which the form decreases.
+    A failed report names the violated condition and carries the witness,
+    a point of the standard simplex.
     """
 
     passed: bool
     violated_condition: str | None = None
-    witness: np.ndarray | tuple[np.ndarray, np.ndarray] | None = None
+    witness: np.ndarray | None = None
     J: tuple[int, ...] | None = None
 
     def to_json_dict(self) -> dict:
         return {
             "passed": self.passed,
             "violated_condition": self.violated_condition,
-            "witness": None if self.witness is None else np.asarray(self.witness, float).tolist(),
+            "witness": None if self.witness is None else self.witness.tolist(),
             "J": None if self.J is None else list(self.J),
         }
 
@@ -76,21 +72,6 @@ def _sample_blocks(faces: int, grid_depth: int, size: int) -> Iterator[tuple[np.
         yield face, np.column_stack((k + 1, grid_depth - k)) / (grid_depth + 1)
 
 
-@functools.lru_cache(maxsize=64)
-def _face_ranks(order: int, dim: int) -> np.ndarray:
-    """Read-only positions among the canonical keys of shape ``(order, dim)``
-    of the keys on each pair face ``(i, j)``, one row per pair, in
-    lexicographic pair order."""
-    prefix = np.zeros((order + 1, dim), np.intp)  # row k: the first k rows of the rank table summed
-    np.cumsum(_key_table(order, dim)[1], axis=0, out=prefix[1:])
-    heads = prefix[::-1].T  # face key r is order - r copies of i, then r copies of j
-    i, j = np.triu_indices(dim, 1)
-    ranks = heads[i]
-    ranks += (prefix[order][:, None] - heads)[j]
-    ranks.setflags(write=False)
-    return ranks
-
-
 def _sample_faces(A: SymmetricTensor, grid_depth: int, tau: float):
     """The first sample below ``-tau`` on the pair faces, in pair and then
     lattice order, as a failed report, or ``None``."""
@@ -98,8 +79,7 @@ def _sample_faces(A: SymmetricTensor, grid_depth: int, tau: float):
     weights = multiplicities * A.coefficient_vector()[_face_ranks(A.order, A.dim)]
     size = max(1, _BLOCK_TERMS // len(multiplicities))
     for face, points in _sample_blocks(len(weights), grid_depth, size):
-        products = functools.reduce(np.multiply, (points[:, c] for c in columns))  # as ``form``
-        terms = (weights[face] * products).tolist()
+        terms = (weights[face] * _monomials(columns, points.T).T).tolist()
         hits = np.flatnonzero(np.fromiter(map(math.fsum, terms), float, len(terms)) < -tau)
         if hits.size:
             pair = np.column_stack(np.triu_indices(A.dim, 1))[face[hits[0]]]  # as ``_face_ranks``
@@ -118,44 +98,6 @@ def diagonal_check(A: SymmetricTensor, tau: float = 1e-12) -> PrescreenReport:
             witness = np.zeros(A.dim)
             witness[i] = 1.0
             return PrescreenReport(False, violated_condition=DIAGONAL, witness=witness)
-    return PrescreenReport(True)
-
-
-def zero_point_gradient_check(
-    A: SymmetricTensor, x, tau: float = 1e-12
-) -> PrescreenReport:
-    """At a nonnegative zero of the form, a copositive tensor must have an
-    entrywise nonnegative one-slot contraction; a negative component
-    refutes copositivity.
-
-    ``x`` must be finite and nonnegative and is rescaled to unit
-    coordinate sum; the check only applies when the form vanishes there
-    (within ``tau``), and raises otherwise.
-    """
-    nonnegative(tau, "tau")
-    x = A._check_vector(x)
-    if not np.isfinite(x).all():
-        raise ValueError("point must be finite")
-    if np.min(x) < -tau:
-        raise ValueError("point must be nonnegative")
-    total = float(x.sum())
-    if total <= 0:
-        raise ValueError("point must be nonzero")
-    x = x / total
-    value = A.form(x)
-    if abs(value) > tau:
-        raise ValueError(
-            f"form value {value} at the supplied point is not zero within {tau}; "
-            "the zero-point test does not apply"
-        )
-    gradient = A.gradient_form(x)
-    worst = int(np.argmin(gradient))
-    if gradient[worst] < -tau:
-        direction = np.zeros(A.dim)
-        direction[worst] = 1.0
-        return PrescreenReport(
-            False, violated_condition=ZERO_POINT_GRADIENT, witness=(x, direction)
-        )
     return PrescreenReport(True)
 
 

@@ -172,6 +172,19 @@ def _rank(order: int, dim: int, keys: np.ndarray) -> np.ndarray:
     return _key_table(order, dim)[1].take(keys + np.arange(0, order * dim, dim)).sum(axis=-1)
 
 
+def _monomials(columns: tuple[np.ndarray, ...], points: np.ndarray):
+    """``points[c0] * points[c1] * ...`` over the 0-based key columns, taken
+    left to right as ``math.prod`` would: every key's monomial at the points
+    whose coordinates run along the first axis of ``points``; with no
+    columns (the empty key), 1.0."""
+    if not columns:
+        return 1.0
+    product = points[columns[0]]
+    for column in columns[1:]:
+        product = product * points[column]
+    return product
+
+
 def _positions(order: int, dim: int, keys: Iterable) -> np.ndarray:
     """Positions of the multi-indices ``keys``, each in any order, among the
     canonical keys of a valid shape, all checked and ranked in one pass.  A
@@ -384,32 +397,22 @@ class SymmetricTensor:
             self._gradient = (rest, self._form_arrays()[1][rows] * counts / self._order)
         return self._gradient
 
-    @staticmethod
-    def _terms_at(columns, weights, x) -> list[float]:
-        """``weights * (x[c0] * x[c1] * ...)`` as nested lists, the product
-        taken left to right as ``math.prod`` would."""
-        if not columns:
-            return weights.tolist()
-        prod = x[columns[0]]
-        for col in columns[1:]:
-            prod = prod * x[col]
-        return (weights * prod).tolist()
-
     def form(self, x) -> float:
         """Value of the homogeneous form: the full contraction against ``x``.
 
         A zero coefficient adds an exact zero term, which ``math.fsum``
         ignores; off the simplex, where such a key's product of ``x``
         overflows, the term and the value are NaN."""
-        x = self._check_vector(x)
-        return math.fsum(self._terms_at(*self._form_arrays(), x))
+        columns, weights = self._form_arrays()
+        return math.fsum((weights * _monomials(columns, self._check_vector(x))).tolist())
 
     def gradient_form(self, x) -> np.ndarray:
         """One-slot contraction: component ``i`` sums the coefficient times
         ``x`` over the remaining ``m - 1`` slots of every entry with a leading
         index ``i``.  Satisfies ``x @ gradient_form(x) == form(x)``."""
-        x = self._check_vector(x)
-        return np.array(list(map(math.fsum, self._terms_at(*self._gradient_arrays(), x))))
+        rest, weights = self._gradient_arrays()
+        terms = (weights * _monomials(rest, self._check_vector(x))).tolist()
+        return np.array(list(map(math.fsum, terms)))
 
     def coefficient_vector(self) -> np.ndarray:
         """A copy of every canonical coefficient, zeros included, in
@@ -467,6 +470,21 @@ def corner_indices(order: int, dim: int) -> tuple[int, ...]:
     """Entry ``v`` is the position of the key ``(v + 1, ..., v + 1)``, where
     a cell's Bernstein coefficient is the form's value at its vertex ``v``."""
     return tuple(_key_table(order, dim)[1].sum(axis=0).tolist())
+
+
+@functools.lru_cache(maxsize=64)
+def _face_ranks(order: int, dim: int) -> np.ndarray:
+    """Read-only positions of the keys on each pair face ``(i, j)``, one row
+    per pair in lexicographic pair order: entry ``r`` is the position of the
+    key of ``order - r`` copies of ``i``, then ``r`` of ``j``."""
+    prefix = np.zeros((order + 1, dim), np.intp)  # row k: the first k rows of the rank table summed
+    np.cumsum(_key_table(order, dim)[1], axis=0, out=prefix[1:])
+    heads = prefix[::-1].T
+    i, j = np.triu_indices(dim, 1)
+    ranks = heads[i]
+    ranks += (prefix[order][:, None] - heads)[j]
+    ranks.setflags(write=False)
+    return ranks
 
 
 def split_coefficients(coefficients: np.ndarray, order: int, dim: int, p: int, q: int) -> np.ndarray:

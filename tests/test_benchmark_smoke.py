@@ -44,3 +44,23 @@ def test_benchmark_checks_pass_at_every_seed_it_runs(workload, tmp_path):
         outcomes = spec.run_pass(spec.setup(seed, False, str(workdir)), lambda: None)
         assert outcomes
         assert [outcome.failure() for outcome in outcomes] == [None] * len(outcomes), seed
+
+
+@pytest.mark.parametrize("workload", ["paper-tables", "deep-refine", "cli-screen"])
+def test_benchmark_decides_a_full_set_twice_alike(workload, tmp_path):
+    # As ``perfbench/run.py`` does in one process: the full set's set-up, a
+    # quick pass, then full passes.  Every outcome must pass the benchmark's
+    # checks, and both full passes must give the same verdict records, which
+    # ``run.py`` also demands: state one pass leaves for the next, such as a
+    # cached table written into, shows as a difference.
+    spec = _workloads()[workload]
+    for seed in (0, 3):
+        workdir = tmp_path / str(seed)
+        workdir.mkdir()
+        state = spec.setup(seed, False, str(workdir))
+        passes = [spec.run_pass(spec.setup(seed, True, str(workdir)), lambda: None)]
+        passes += [spec.run_pass(state, lambda: None) for _ in range(2)]
+        failures = [outcome.failure() for outcomes in passes for outcome in outcomes]
+        assert failures == [None] * len(failures), seed
+        first, second = ([outcome.record for outcome in outcomes] for outcomes in passes[1:])
+        assert first and first == second, seed

@@ -619,3 +619,36 @@ def test_relabelled_indices_keep_the_verdict():
             if verdict.witness is not None:
                 assert verify_witness(relabelled, verdict.witness, cfg.tolerance), (A, pi)
     assert (runs, undecided) == (46, 0)
+
+
+def test_diagonal_scaling_keeps_the_verdict():
+    # x -> Dx for a positive diagonal D: A is copositive exactly when A o D
+    # is, whose entries are a_alpha * prod_j d_{alpha_j}, exact for d_i = 2**k.
+    # A witness w of A o D maps to the witness Dw / sum(Dw) of A.  Where both
+    # runs decide, the kinds must agree; an undecided side is allowed but
+    # counted, and enough pairs must decide that the test cannot pass vacuously.
+    # Cells grow under D, so at this budget some transformed runs stay undecided.
+    rng = np.random.default_rng(79)
+    cfg = DetectorConfig(max_iterations=5000)
+    pairs = decided = mapped = 0
+    for m, n in ((4, 3), (3, 4), (6, 3), (4, 4), (3, 5)):
+        for seed in (0, 1):
+            B = random_tensor(m, n, seed)
+            rho = spectral_radius(B).rho
+            for step in (-1.0, 1.0, -0.01, 0.01):
+                A = eta_shift(rho + step, B)
+                base = detect(A, cfg).kind
+                for _ in range(2):
+                    d = 2.0 ** rng.integers(-2, 3, size=n)
+                    scaled = SymmetricTensor(m, n, {key: value * math.prod(d[i - 1] for i in key)
+                                                    for key, value in A.entries.items()})
+                    verdict = detect(scaled, cfg)
+                    pairs += 1
+                    if VerdictKind.UNDECIDED not in (base, verdict.kind):
+                        decided += 1
+                        assert verdict.kind is base, (m, n, seed, step, d)
+                    if verdict.witness is not None:
+                        x = d * verdict.witness
+                        assert verify_witness(A, x / x.sum(), cfg.tolerance), (m, n, seed, step, d)
+                        mapped += 1
+    assert pairs == 80 and decided >= 60, (decided, mapped)  # 66 decide, 35 witnesses map

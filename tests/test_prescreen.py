@@ -21,10 +21,9 @@ from coposim import (
     run_prescreen,
     spectral_radius,
     verify_witness,
-    zero_point_gradient_check,
 )
-from coposim import prescreen
-from coposim.prescreen import DIAGONAL, SUBTENSOR_SAMPLE, ZERO_POINT_GRADIENT, _sample_blocks
+from coposim import prescreen, tensor
+from coposim.prescreen import DIAGONAL, SUBTENSOR_SAMPLE, _sample_blocks
 
 from _brute import (
     barycentric_lattice,
@@ -35,11 +34,6 @@ from _brute import (
     random_symmetric,
     subtensor_prescreen,
 )
-
-# Zero at e1, where the contraction is (0, -0.1): the form slopes down
-# into the simplex.
-SLOPED = SymmetricTensor(3, 2, {(1, 1, 2): -0.1, (1, 2, 2): 1.0, (2, 2, 2): 1.0})
-
 
 def test_barycentric_lattice():
     closed = list(barycentric_lattice(2, 2))
@@ -101,54 +95,12 @@ def test_prescreens_reject_a_nonfinite_or_negative_tau():
     # would pass unseen; a bool once passed as 1.0, and a string raised
     # TypeError.
     A = random_tensor_negative_diagonal(4, 3, 0)
-    zero = np.full(3, 1 / 3)
     for tau in (np.nan, np.inf, -1.0, True, "1e-3", None, 1j, 10**400):
-        checks = (
-            lambda: diagonal_check(A, tau=tau),
-            lambda: zero_point_gradient_check(eta_shift(9.0, ones_tensor(3, 3)), zero, tau=tau),
-            lambda: run_prescreen(A, tau=tau),
-        )
-        for check in checks:
+        for check in (lambda: diagonal_check(A, tau=tau), lambda: run_prescreen(A, tau=tau)):
             with pytest.raises(ValueError, match="tau"):
                 check()
     assert diagonal_check(A, tau=0.0).violated_condition == DIAGONAL
     assert run_prescreen(A, tau=np.float32(0.0)).violated_condition == DIAGONAL
-
-
-def test_zero_point_gradient_check_passes():
-    M = motzkin_tensor()
-    report = zero_point_gradient_check(M, np.ones(3))  # rescaled internally
-    assert report.passed
-    assert np.allclose(M.gradient_form(np.full(3, 1 / 3)), 0.0, atol=1e-15)
-    A = eta_shift(9.0, ones_tensor(3, 3))
-    assert zero_point_gradient_check(A, np.full(3, 1 / 3)).passed
-
-
-def test_zero_point_gradient_check_requires_zero():
-    with pytest.raises(ValueError):
-        zero_point_gradient_check(identity_tensor(3, 3), np.array([1.0, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        zero_point_gradient_check(identity_tensor(3, 3), np.zeros(3))
-    with pytest.raises(ValueError):
-        zero_point_gradient_check(identity_tensor(3, 3), np.array([-1.0, 1.0, 1.0]))
-    # a non-finite point is no zero of the form, however it rescales
-    for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="finite"):
-            zero_point_gradient_check(motzkin_tensor(), np.array([bad, 0.0, 0.0]))
-
-
-def test_zero_point_gradient_check_refutes():
-    # form is -3 x^2 y: zero at e1, but the contraction there points down
-    A = SymmetricTensor(3, 2, {(1, 1, 2): -1.0})
-    report = zero_point_gradient_check(A, np.array([1.0, 0.0]))
-    assert not report.passed
-    assert report.violated_condition == ZERO_POINT_GRADIENT
-    point, direction = report.witness
-    assert np.array_equal(point, [1.0, 0.0])
-    assert np.array_equal(direction, [0.0, 1.0])
-    # the stated inequality re-verifies from the witness pair alone
-    slot = int(np.argmax(direction))
-    assert A.gradient_form(point)[slot] < -1e-12
 
 
 def test_subtensor_sample_refute():
@@ -193,9 +145,11 @@ def test_run_prescreen_order_and_short_circuit():
 
     assert run_prescreen(ones_tensor(3, 3)).passed
     assert run_prescreen(motzkin_tensor()).passed
-    # mild enough that the sampling stages pass; only the standalone
-    # zero-point check refutes it (see test_report_json)
-    assert run_prescreen(SLOPED).passed
+    # A zero at e1 where the form slopes down into the simplex (the
+    # contraction there is (0, -0.1)): not copositive, yet mild enough that
+    # every sample passes.  A pass certifies nothing.
+    sloped = SymmetricTensor(3, 2, {(1, 1, 2): -0.1, (1, 2, 2): 1.0, (2, 2, 2): 1.0})
+    assert run_prescreen(sloped).passed
 
 
 def test_prescreen_failures_imply_not_copositive():
@@ -260,11 +214,6 @@ def test_report_json():
     assert obj["passed"] is False
     assert obj["violated_condition"] == DIAGONAL
     assert obj["witness"] == [1.0, 0.0, 0.0]
-    # the zero-point check's witness is a (point, direction) pair
-    obj = zero_point_gradient_check(SLOPED, np.array([1.0, 0.0])).to_json_dict()
-    assert obj["passed"] is False
-    assert obj["violated_condition"] == ZERO_POINT_GRADIENT
-    assert obj["witness"] == [[1.0, 0.0], [0.0, 1.0]]
 
 
 TAUS = (0.0, 1e-12, 1e-3)
@@ -363,14 +312,14 @@ def test_samples_at_the_tolerance_match_form_to_the_last_bit():
 def test_face_ranks_of_a_wide_shape_build_in_bounded_memory():
     # The ranks come from prefix sums of the rank table, one (F, m + 1)
     # array at a time; ranking the (F, m + 1, m) face keys peaked near 100 MiB.
-    prescreen._face_ranks.cache_clear()
+    tensor._face_ranks.cache_clear()
     tracemalloc.start()
     try:
-        ranks = prescreen._face_ranks(2, 1000)
+        ranks = tensor._face_ranks(2, 1000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        prescreen._face_ranks.cache_clear()
+        tensor._face_ranks.cache_clear()
     assert ranks.shape == (1000 * 999 // 2, 3)
     assert peak < 60 * 2**20, peak
 

@@ -24,10 +24,10 @@ from coposim import (
     random_tensor,
     spectral_radius,
 )
-from coposim.prescreen import _face_ranks
 from coposim.tensor import (
     MAX_KEYS,
     MAX_ORDER,
+    _face_ranks,
     _key_plan,
     _key_table,
     _multiplicities,
@@ -87,7 +87,6 @@ def test_public_surface():
         "run_prescreen",
         "spectral_radius",
         "verify_witness",
-        "zero_point_gradient_check",
     ]
     assert all(hasattr(coposim, name) for name in coposim.__all__)
 
@@ -95,8 +94,8 @@ def test_public_surface():
 MODULE_SURFACES = {
     "tensor": ["MAX_KEYS", "MAX_ORDER", "SymmetricTensor", "multiplicity", "split_coefficients"],
     "detector": ["DetectorConfig", "Verdict", "VerdictKind", "detect", "verify_witness"],
-    "prescreen": ["DIAGONAL", "SUBTENSOR_SAMPLE", "ZERO_POINT_GRADIENT", "PrescreenReport",
-                  "diagonal_check", "run_prescreen", "zero_point_gradient_check"],
+    "prescreen": ["DIAGONAL", "SUBTENSOR_SAMPLE", "PrescreenReport", "diagonal_check",
+                  "run_prescreen"],
     "instances": ["choi_lam_tensor", "eta_shift", "from_polynomial", "identity_tensor",
                   "motzkin_tensor", "ones_tensor", "polynomial_from_json", "random_tensor",
                   "random_tensor_negative_diagonal", "robinson_tensor"],
@@ -273,6 +272,11 @@ def test_gradient_examples():
     assert np.allclose(identity_tensor(3, 2).gradient_form([1, 2]), [1.0, 4.0])
     assert np.allclose(ones_tensor(3, 2).gradient_form([1, 1]), [4.0, 4.0])
     assert np.allclose(motzkin_tensor().gradient_form([0, 0, 1]), [0.0, 0.0, 1.0])
+    # At a zero of a copositive form the contraction is nonnegative: Motzkin's
+    # vanishes at the barycenter.  The form -3 x^2 y is zero at e1, and its
+    # contraction there points down into the simplex.
+    assert np.allclose(motzkin_tensor().gradient_form(np.full(3, 1 / 3)), 0.0, atol=1e-15)
+    assert SymmetricTensor(3, 2, {(1, 1, 2): -1.0}).gradient_form([1, 0])[1] < -1e-12
 
 
 def test_mixed_form_examples():
@@ -570,9 +574,9 @@ def test_split_tables_are_built_on_demand_bounded_and_readonly():
     # Importing the package and the CLI builds no per-shape table.
     probe = (
         "import coposim, coposim.cli\n"
-        "from coposim import detector as d, prescreen as p, tensor as t\n"
+        "from coposim import detector as d, tensor as t\n"
         "for cache in (t._key_table, t._key_plan, t._split_table, t.corner_indices,\n"
-        "              p._face_ranks, d._edges):\n"
+        "              t._face_ranks, d._edges):\n"
         "    info = cache.cache_info()\n"
         "    print(cache.__name__, info.currsize, info.maxsize)\n"
     )
