@@ -7,7 +7,6 @@ is cheap: diagonal entries, then sampled faces.
 
 from coposim import (
     SymmetricTensor,
-    diagonal_check,
     eta_shift,
     ones_tensor,
     random_tensor_negative_diagonal,
@@ -16,10 +15,10 @@ from coposim import (
 )
 
 # The form value at the i-th unit vector is the i-th diagonal entry, so a
-# negative diagonal entry is already a witness.
+# negative diagonal entry is already a witness: the battery's first stage.
 B = random_tensor_negative_diagonal(4, 3, seed=7)
-report = diagonal_check(B)
-print("diagonal check:", "passed" if report.passed else "failed",
+report = run_prescreen(B)
+print("diagonal stage:", report.violated_condition,
       "witness:", report.witness, "verified:", verify_witness(B, report.witness))
 
 # Edges of the simplex are tensors in their own right: sampling the
@@ -37,9 +36,8 @@ print("pair sample:", report.violated_condition, "on", report.J,
 sloped = SymmetricTensor(3, 2, {(1, 1, 2): -0.1, (1, 2, 2): 1.0, (2, 2, 2): 1.0})
 print("sloped tensor, just off its zero:", sloped.form([0.99, 0.01]))
 
-# The battery runs the diagonal check, then the pair faces, and stops at
+# The battery runs the diagonal stage, then the pair faces, and stops at
 # the first hit.
-print("battery on the bad-diagonal tensor:", run_prescreen(B).violated_condition)
 print("battery on I - E:", run_prescreen(A).violated_condition)
 print("battery on the all-ones tensor:", run_prescreen(ones_tensor(3, 3)).passed)
 print("battery on the sloped tensor:", run_prescreen(sloped).passed)

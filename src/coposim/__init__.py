@@ -31,7 +31,6 @@ from .instances import (
 )
 from .prescreen import (
     PrescreenReport,
-    diagonal_check,
     run_prescreen,
 )
 from .spectral import (
@@ -53,7 +52,6 @@ __all__ = [
     "VerdictKind",
     "choi_lam_tensor",
     "detect",
-    "diagonal_check",
     "eta_shift",
     "from_polynomial",
     "identity_tensor",

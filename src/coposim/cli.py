@@ -168,40 +168,25 @@ def cmd_detect(args) -> int:
         keep_certificates=args.certificate,
     )
     started = time.perf_counter()
-    prescreen_report = None
-    verdict = None
-    if not args.no_prescreen:
-        prescreen_report = run_prescreen(A, tau=args.tol)
-        if not prescreen_report.passed:
-            verdict = Verdict(
-                VerdictKind.NOT_COPOSITIVE,
-                iterations=0,
-                max_depth=0,
-                sigma=args.sigma,
-                tolerance=args.tol,
-                witness=prescreen_report.witness,
-            )
-    if verdict is None:
+    report = None if args.no_prescreen else run_prescreen(A, tau=cfg.tolerance)
+    if report is None or report.passed:
         verdict = detect(A, cfg)
+    else:  # refuted before the search pops a cell
+        verdict = Verdict(VerdictKind.NOT_COPOSITIVE, iterations=0, max_depth=0, sigma=cfg.sigma,
+                          tolerance=cfg.tolerance, witness=report.witness)
     record = {
         "input": descriptor,
-        "config": {
-            "max_iterations": args.max_iter,
-            "tolerance": args.tol,
-            "sigma": args.sigma,
-            "min_diameter": args.min_diameter,
-        },
-        "prescreen": None if prescreen_report is None else prescreen_report.to_json_dict(),
+        # every field but keep_certificates, which the record's "certificate" shows
+        "config": {key: value for key, value in vars(cfg).items() if key != "keep_certificates"},
+        "prescreen": None if report is None else report.to_json_dict(),
         "verdict": verdict.to_json_dict(),
         "elapsed": time.perf_counter() - started,
     }
-    if args.certificate and verdict.certified_cells is not None:
-        record["certificate"] = {
-            "cells": [cell.tolist() for cell in verdict.certified_cells]
-        }
+    if verdict.certified_cells is not None:  # kept on request, for a copositive verdict
+        record["certificate"] = {"cells": [cell.tolist() for cell in verdict.certified_cells]}
     _emit(record, args.out)
     if verdict.kind is VerdictKind.UNDECIDED:
-        retry = "a larger --sigma or --max-iter" if args.sigma > 0 else "--sigma > 0"
+        retry = "a larger --sigma or --max-iter" if cfg.sigma > 0 else "--sigma > 0"
         print(
             "undecided within budget; a zero of the form on the simplex is the usual "
             f"cause, retry with {retry}",
@@ -394,11 +379,14 @@ def build_parser() -> _Parser:
 
     p_detect = sub.add_parser("detect", help="decide copositivity")
     _add_source_arguments(p_detect)
-    p_detect.add_argument("--max-iter", type=_COUNT, default=100, dest="max_iter")
-    p_detect.add_argument("--tol", type=_NONNEGATIVE, default=1e-12)
-    p_detect.add_argument("--sigma", type=_NONNEGATIVE, default=0.0,
+    p_detect.add_argument("--max-iter", type=_COUNT, default=DetectorConfig.max_iterations,
+                          dest="max_iter")
+    p_detect.add_argument("--tol", type=_NONNEGATIVE, default=DetectorConfig.tolerance)
+    p_detect.add_argument("--sigma", type=_NONNEGATIVE, default=DetectorConfig.sigma,
                           help="certify the form down to -SIGMA; refutation is unchanged")
-    p_detect.add_argument("--min-diameter", type=_NONNEGATIVE, default=0.0, dest="min_diameter")
+    p_detect.add_argument("--min-diameter", type=_NONNEGATIVE, default=DetectorConfig.min_diameter,
+                          dest="min_diameter",
+                          help="end undecided at a cell to bisect of smaller diameter")
     p_detect.add_argument("--no-prescreen", action="store_true", dest="no_prescreen")
     p_detect.add_argument("--certificate", action="store_true",
                           help="retain the certified cells in the output record")
@@ -406,8 +394,9 @@ def build_parser() -> _Parser:
 
     p_table = sub.add_parser("table", help="regenerate a benchmark table")
     p_table.add_argument("table", type=int, choices=(1, 2, 3))
-    p_table.add_argument("--max-iter", type=_COUNT, default=100, dest="max_iter")
-    p_table.add_argument("--tol", type=_NONNEGATIVE, default=1e-12)
+    p_table.add_argument("--max-iter", type=_COUNT, default=DetectorConfig.max_iterations,
+                         dest="max_iter")
+    p_table.add_argument("--tol", type=_NONNEGATIVE, default=DetectorConfig.tolerance)
     p_table.add_argument("--seed", type=_SEED, default=0, help="base seed for the trials")
     p_table.add_argument("--out", help="also write the rows as JSON to this file")
     p_table.set_defaults(func=cmd_table)

@@ -7,7 +7,9 @@ disproves copositivity, and that vertex is the witness.  Otherwise a
 smallest coefficient of at least ``-sigma - tau`` certifies the cell,
 which is then dropped.  Any other cell is bisected at its longest edge,
 depth first.  An empty frontier certifies copositivity on the whole
-simplex; running out of budget returns an explicit undecided verdict.
+simplex; running out of budget, or a cell to bisect of diameter below
+``min_diameter``, returns an explicit undecided verdict.  In dimension 1
+the root's one coefficient is its vertex value, which decides the root.
 
 A cell is a tuple of ``n`` vertex tuples of Python floats; the root is
 the identity's rows.  Bisecting edge ``(p, q)`` makes two children, each
@@ -62,7 +64,7 @@ refuted child's witness is the midpoint.  So the child's cell, its
 parent's with one vertex replaced, is built only when it is bisected or
 kept as a certificate, and its lengths, its parent's copied with the
 ``n - 1`` slots of the replaced vertex taken from the row, only when it
-is bisected or ``min_diameter`` is set.  Siblings share the parent's
+is bisected.  Siblings share the parent's
 cell, the midpoint, the lengths and the row, and nothing writes into
 them.  The root enters as the identity with its vertex ``first``
 replaced by itself.
@@ -118,8 +120,9 @@ class DetectorConfig:
     ``max_iterations`` counts popped cells (the default mirrors the
     100-cell budget used in the reference benchmarks), ``tolerance`` is the
     sign-classification slack, ``sigma`` relaxes the cellwise coefficient
-    test, and cells with diameter below ``min_diameter`` abort the run as
-    undecided instead of refining without bound.
+    test, and a cell about to be bisected whose diameter is below
+    ``min_diameter`` ends the run as undecided instead of refining without
+    bound; a cell its numbers refute or certify is decided at any size.
     """
 
     max_iterations: int = 100
@@ -214,8 +217,6 @@ def detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdict:
     """
     if cfg is None:
         cfg = DetectorConfig()
-    if A.dim < 2:
-        raise ValueError("detection needs dimension >= 2")
 
     start = time.perf_counter()
     m, n = A.order, A.dim
@@ -258,21 +259,11 @@ def detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdict:
             **kw,
         )
 
-    def measured(lengths: list[float], row: list[float], moved: int) -> list[float]:
-        lengths = lengths.copy()
-        for k, length in zip(at[moved], row):
-            lengths[k] = length
-        lengths[-1] = 0.0  # row[moved] landed in the sentinel
-        return lengths
-
     while frontier:
         if iterations >= cfg.max_iterations:
             return verdict(VerdictKind.UNDECIDED)
         parent, moved, vertex, lengths, row, coefficients, low, value, depth = frontier.pop()
         iterations += 1
-        edges = cfg.min_diameter > 0.0 and measured(lengths, row, moved)
-        if edges and math.sqrt(max(edges)) < cfg.min_diameter:
-            return verdict(VerdictKind.UNDECIDED)
         # Only the new vertex is untested; the cell's others were tested
         # and folded in with its parent.
         min_vertex = min(min_vertex, value)
@@ -283,14 +274,20 @@ def detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdict:
                 certified.append(parent[:moved] + (vertex,) + parent[moved + 1:])
             continue
         cell = parent[:moved] + (vertex,) + parent[moved + 1:]
-        edges = edges or measured(lengths, row, moved)
+        edges = lengths.copy()
+        for k, length in zip(at[moved], row):
+            edges[k] = length
+        edges[-1] = 0.0  # row[moved] landed in the sentinel
+        longest = max(edges)
+        if math.sqrt(longest) < cfg.min_diameter:
+            return verdict(VerdictKind.UNDECIDED)
         # The first maximum, as a strict scan finds it; the sentinel is 0.0.
-        k = edges.index(max(edges))
+        k = edges.index(longest)
         p, q = pairs[k]
         midpoint = tuple([0.5 * (a + b) for a, b in zip(cell[p], cell[q])])
         # Squared distances from every vertex to the midpoint by the median
         # formula: the lengths of the edges at the vertex it replaces.
-        quarter = 0.25 * edges[k]
+        quarter = 0.25 * longest
         row = [0.5 * (edges[a] + edges[b]) - quarter for a, b in zip(at[p], at[q])]
         children = split_coefficients(coefficients, m, n, p, q)
         # The first child's corner at p is the midpoint's value up to

@@ -31,7 +31,6 @@ __all__ = [
     "DIAGONAL",
     "SUBTENSOR_SAMPLE",
     "PrescreenReport",
-    "diagonal_check",
     "run_prescreen",
 ]
 
@@ -75,11 +74,14 @@ def _sample_blocks(faces: int, grid_depth: int, size: int) -> Iterator[tuple[np.
 def _sample_faces(A: SymmetricTensor, grid_depth: int, tau: float):
     """The first sample below ``-tau`` on the pair faces, in pair and then
     lattice order, as a failed report, or ``None``."""
-    (columns, multiplicities), _ = _key_plan(A.order, 2)
-    weights = multiplicities * A.coefficient_vector()[_face_ranks(A.order, A.dim)]
-    size = max(1, _BLOCK_TERMS // len(multiplicities))
-    for face, points in _sample_blocks(len(weights), grid_depth, size):
-        terms = (weights[face] * _monomials(columns, points.T).T).tolist()
+    ranks = _face_ranks(A.order, A.dim)  # no rows in dimension 1
+    values = A.coefficient_vector()
+    size = max(1, _BLOCK_TERMS // ranks.shape[1])
+    for face, points in _sample_blocks(len(ranks), grid_depth, size):
+        # The pair shape's plan is looked up only once there is a face: in
+        # dimension 1, orders past about 1030 have none within the float range.
+        (columns, multiplicities), _ = _key_plan(A.order, 2)
+        terms = (multiplicities * values[ranks[face]] * _monomials(columns, points.T).T).tolist()
         hits = np.flatnonzero(np.fromiter(map(math.fsum, terms), float, len(terms)) < -tau)
         if hits.size:
             pair = np.column_stack(np.triu_indices(A.dim, 1))[face[hits[0]]]  # as ``_face_ranks``
@@ -89,16 +91,15 @@ def _sample_faces(A: SymmetricTensor, grid_depth: int, tau: float):
     return None
 
 
-def diagonal_check(A: SymmetricTensor, tau: float = 1e-12) -> PrescreenReport:
-    """A negative diagonal entry refutes copositivity outright (the form
-    value at the corresponding unit vector is that entry)."""
-    nonnegative(tau, "tau")
+def _diagonal(A: SymmetricTensor, tau: float):
+    """The first diagonal entry below ``-tau``, the form's value at its unit
+    vector, as a failed report, or ``None``."""
     for i, value in enumerate(A.coefficient_vector().take(corner_indices(A.order, A.dim)).tolist()):
         if value < -tau:
             witness = np.zeros(A.dim)
             witness[i] = 1.0
-            return PrescreenReport(False, violated_condition=DIAGONAL, witness=witness)
-    return PrescreenReport(True)
+            return PrescreenReport(False, DIAGONAL, witness)
+    return None
 
 
 def run_prescreen(A: SymmetricTensor, grid_depth: int = 2, tau: float = 1e-12) -> PrescreenReport:
@@ -107,11 +108,9 @@ def run_prescreen(A: SymmetricTensor, grid_depth: int = 2, tau: float = 1e-12) -
     depth ``g`` at the ``g`` interior points of denominator ``g + 1``.
 
     Singletons are not sampled: the only sample of a one-index subtensor is
-    its diagonal entry, which the diagonal check has already passed.
+    its diagonal entry, which the diagonal stage has already passed.  In
+    dimension 1 there is no pair to sample.
     """
-    nonnegative(tau, "tau")
+    tau = nonnegative(tau, "tau")
     grid_depth = integer(grid_depth, "grid_depth", 1)
-    report = diagonal_check(A, tau)
-    if report.passed and A.dim > 1:
-        return _sample_faces(A, grid_depth, tau) or report
-    return report
+    return _diagonal(A, tau) or _sample_faces(A, grid_depth, tau) or PrescreenReport(True)

@@ -151,9 +151,7 @@ def _key_table(order: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     if order > MAX_ORDER:
         raise ValueError(f"shape (order {order}, dim {dim}) is beyond the order limit "
                          f"MAX_ORDER = {MAX_ORDER}")
-    q, r = divmod(order, dim)  # the most permuted key: r indices q + 1 times, the rest q times
-    largest = math.prod(math.comb(order - t * q - min(t, r), q + (t < r))
-                        for t in range(min(order, dim)))
+    largest = multiplicity(sorted(t % dim for t in range(order)))  # of the most balanced key
     if largest > sys.float_info.max:
         raise ValueError(f"shape (order {order}, dim {dim}) has keys of multiplicity about "
                          f"10**{math.log10(largest):.1f}, beyond the float range")

@@ -8,6 +8,8 @@ summation paths used by the library.
 import itertools
 import math
 import time
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -16,7 +18,6 @@ from coposim import (
     SymmetricTensor,
     Verdict,
     VerdictKind,
-    diagonal_check,
     multiplicity,
 )
 from coposim import detector
@@ -207,6 +208,17 @@ def cut_lattice(dim: int, d: int):
         yield np.array([b - a for a, b in zip(cuts, cuts[1:])], dtype=float) / d
 
 
+def diagonal_refute(A: SymmetricTensor, tau: float = 1e-12) -> PrescreenReport:
+    """The diagonal stage on its own: the first entry ``A[i, ..., i]``
+    below ``-tau``, read one ``__getitem__`` at a time, refutes with the
+    unit vector ``e_i``."""
+    for i in range(1, A.dim + 1):
+        if A[(i,) * A.order] < -tau:
+            return PrescreenReport(False, violated_condition=DIAGONAL,
+                                   witness=np.eye(A.dim)[i - 1])
+    return PrescreenReport(True)
+
+
 def subtensor_prescreen(A: SymmetricTensor, grid_depth: int = 2,
                         tau: float = 1e-12) -> PrescreenReport:
     """The prescreen battery as it was first written: diagonal entries, then
@@ -215,10 +227,9 @@ def subtensor_prescreen(A: SymmetricTensor, grid_depth: int = 2,
     ``grid_depth + len(J) - 1``, a negative sample embedded back with zeros
     off ``J``."""
     n = A.dim
-    for i in range(1, n + 1):
-        if A[(i,) * A.order] < -tau:
-            return PrescreenReport(False, violated_condition=DIAGONAL,
-                                   witness=np.eye(n)[i - 1])
+    report = diagonal_refute(A, tau)
+    if not report.passed:
+        return report
     subsets = [(i,) for i in range(1, n + 1)] + list(itertools.combinations(range(1, n + 1), 2))
     dense = dense_of(A)
     for J in subsets:
@@ -253,8 +264,8 @@ def pointwise_sample_refute(A: SymmetricTensor, J, grid_depth: int = 2,
 def pointwise_prescreen(A: SymmetricTensor, grid_depth: int = 2,
                         tau: float = 1e-12) -> PrescreenReport:
     """The prescreen battery over :func:`pointwise_sample_refute`: the
-    diagonal check, then every pair in lexicographic order."""
-    report = diagonal_check(A, tau)
+    diagonal stage, then every pair in lexicographic order."""
+    report = diagonal_refute(A, tau)
     pairs = itertools.combinations(range(1, A.dim + 1), 2)
     while report.passed and (J := next(pairs, None)):
         report = pointwise_sample_refute(A, J, grid_depth, tau)
@@ -333,8 +344,6 @@ def eager_detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdi
             return verdict(VerdictKind.UNDECIDED)
         cell, lengths, coefficients, low, vertex, value, depth = frontier.pop()
         iterations += 1
-        if cfg.min_diameter > 0.0 and math.sqrt(lengths.max()) < cfg.min_diameter:
-            return verdict(VerdictKind.UNDECIDED)
         min_vertex = min(min_vertex, value)
         if value < -tau:
             return verdict(VerdictKind.NOT_COPOSITIVE, witness=np.array(cell[vertex]))
@@ -342,6 +351,8 @@ def eager_detect(A: SymmetricTensor, cfg: DetectorConfig | None = None) -> Verdi
             if certified is not None:
                 certified.append(cell)
             continue
+        if math.sqrt(lengths.max()) < cfg.min_diameter:  # only a cell to bisect is cut
+            return verdict(VerdictKind.UNDECIDED)
         p, q = pairs[int(lengths.take(upper).argmax())]
         midpoint = 0.5 * (cell[p] + cell[q])
         row = np.array([diff @ diff for diff in cell - midpoint])
@@ -383,6 +394,32 @@ def kaplan(M) -> tuple[bool, bool, float]:
                 if (vector > 0).all() or (vector < 0).all():
                     lowest = min(lowest, value)
     return lowest >= 0.0, lowest > 0.0, abs(lowest)
+
+
+def m_certificate(A: SymmetricTensor, x) -> bool:
+    """Exact check, in ``fractions``, that the rationals ``x``, all > 0,
+    certify ``A`` copositive: every component of ``A_Z x^(m-1)`` is >= 0,
+    where ``A_Z`` is ``A`` with its positive off-diagonal entries set to 0.
+    Then ``f(x * t) >= sum_i t_i^m x_i (A_Z x^(m-1))_i >= 0`` for every
+    ``t >= 0``, by weighted AM-GM on each negative off-diagonal term.
+    Component ``i`` is taken times ``m``: each key holding ``i`` ``c``
+    times, of multiplicity ``m! / prod(counts!)``, adds ``value * mult * c``
+    times the product of ``x`` over the key with one ``i`` removed."""
+    x = [Fraction(v) for v in x]
+    if len(x) != A.dim or min(x) <= 0:
+        return False
+    m = A.order
+    scaled = [Fraction(0)] * A.dim
+    for key, value in A.entries.items():
+        counts = Counter(key)
+        if value > 0 and len(counts) > 1:
+            continue
+        mult = math.factorial(m) // math.prod(map(math.factorial, counts.values()))
+        for i, c in counts.items():
+            rest = list(key)
+            rest.remove(i)
+            scaled[i - 1] += Fraction(value) * mult * c * math.prod(x[j - 1] for j in rest)
+    return min(scaled) >= 0
 
 
 def brute_mixed(dense: np.ndarray, x, k: int, y) -> float:

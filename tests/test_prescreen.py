@@ -10,7 +10,6 @@ from coposim import (
     SymmetricTensor,
     VerdictKind,
     detect,
-    diagonal_check,
     eta_shift,
     identity_tensor,
     motzkin_tensor,
@@ -79,15 +78,25 @@ def test_lattice_blocks_match_the_cut_generator():
     assert np.array_equal(deep.view(np.int64), np.tile(lattice, (3, 1)).view(np.int64))
 
 
-def test_diagonal_check():
+def test_diagonal_stage():
     for seed in range(3):
-        assert diagonal_check(random_tensor(3, 3, seed)).passed
-    assert diagonal_check(identity_tensor(3, 3)).passed
-    report = diagonal_check(random_tensor_negative_diagonal(4, 3, 0))
+        assert run_prescreen(random_tensor(3, 3, seed)).passed
+    assert run_prescreen(identity_tensor(3, 3)).passed
+    report = run_prescreen(random_tensor_negative_diagonal(4, 3, 0))
     assert not report.passed
     assert report.violated_condition == DIAGONAL
     assert np.array_equal(report.witness, [1.0, 0.0, 0.0])
     assert verify_witness(random_tensor_negative_diagonal(4, 3, 0), report.witness)
+
+
+def test_dimension_one_has_only_the_diagonal_stage():
+    # No pair face, so the pair shape's plan is never needed: at order 1100
+    # its multiplicities leave the float range, and at MAX_ORDER its keys
+    # pass MAX_KEYS times 16 / order.
+    for m in (3, 1100, tensor.MAX_ORDER):
+        assert run_prescreen(ones_tensor(m, 1)).passed
+        report = run_prescreen(-1.0 * ones_tensor(m, 1))
+        assert report.violated_condition == DIAGONAL and report.witness.tolist() == [1.0]
 
 
 def test_prescreens_reject_a_nonfinite_or_negative_tau():
@@ -96,10 +105,9 @@ def test_prescreens_reject_a_nonfinite_or_negative_tau():
     # TypeError.
     A = random_tensor_negative_diagonal(4, 3, 0)
     for tau in (np.nan, np.inf, -1.0, True, "1e-3", None, 1j, 10**400):
-        for check in (lambda: diagonal_check(A, tau=tau), lambda: run_prescreen(A, tau=tau)):
-            with pytest.raises(ValueError, match="tau"):
-                check()
-    assert diagonal_check(A, tau=0.0).violated_condition == DIAGONAL
+        with pytest.raises(ValueError, match="tau"):
+            run_prescreen(A, tau=tau)
+    assert run_prescreen(A, tau=0.0).violated_condition == DIAGONAL
     assert run_prescreen(A, tau=np.float32(0.0)).violated_condition == DIAGONAL
 
 
@@ -185,7 +193,8 @@ def test_diagonal_failure_equivalent_to_first_iteration_refutation():
                 first_iteration_refuted = True
                 # iteration-one witnesses are unit vectors
                 assert sorted(verdict.witness) == [0.0, 0.0, 1.0]
-            assert first_iteration_refuted == (not diagonal_check(A).passed)
+            diagonal_refuted = run_prescreen(A).violated_condition == DIAGONAL
+            assert first_iteration_refuted == diagonal_refuted
 
 
 def test_run_prescreen_matches_the_principal_subtensor_oracle():

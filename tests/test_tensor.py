@@ -73,7 +73,6 @@ def test_public_surface():
         "VerdictKind",
         "choi_lam_tensor",
         "detect",
-        "diagonal_check",
         "eta_shift",
         "from_polynomial",
         "identity_tensor",
@@ -94,8 +93,7 @@ def test_public_surface():
 MODULE_SURFACES = {
     "tensor": ["MAX_KEYS", "MAX_ORDER", "SymmetricTensor", "multiplicity", "split_coefficients"],
     "detector": ["DetectorConfig", "Verdict", "VerdictKind", "detect", "verify_witness"],
-    "prescreen": ["DIAGONAL", "SUBTENSOR_SAMPLE", "PrescreenReport", "diagonal_check",
-                  "run_prescreen"],
+    "prescreen": ["DIAGONAL", "SUBTENSOR_SAMPLE", "PrescreenReport", "run_prescreen"],
     "instances": ["choi_lam_tensor", "eta_shift", "from_polynomial", "identity_tensor",
                   "motzkin_tensor", "ones_tensor", "polynomial_from_json", "random_tensor",
                   "random_tensor_negative_diagonal", "robinson_tensor"],
